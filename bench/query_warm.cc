@@ -1,17 +1,15 @@
-// Warm-pool query throughput: the in-memory hot path the SoA layout and
-// SIMD kernels exist for.
+// Warm-pool query throughput: the in-memory hot path the SoA node runs
+// and SIMD kernels exist for.
 //
-// PRs 2–6 made the I/O side fast; once the buffer pool holds the whole
-// tree, query time is pure CPU — per-node rectangle tests.  This bench
-// pins that down: it bulk-loads the same dataset twice (once in the v1
-// AoS node layout, once in the v2 SoA layout), gives each tree a pool
-// larger than the tree, warms it fully, and runs one window batch and one
-// kNN batch per leg of the {layout} x {scalar, SIMD} matrix.  The legs
-// must agree bit-for-bit on every QueryStats counter, result count and
-// kNN distance (the dispatch contract of geom/rect_batch.h); only the
-// wall clock may differ.  SIMD speedup is per-core, so the headline
-// ratio — SIMD-over-SoA vs scalar-over-AoS, the shipped configuration vs
-// the pre-PR one — shows on a single-core CI container too.
+// Once the buffer pool holds the whole tree, query time is pure CPU —
+// per-node rectangle tests.  This bench pins that down: it bulk-loads the
+// dataset once, gives the tree a pool larger than the tree, warms it
+// fully, and runs one window batch and one kNN batch per leg, scalar and
+// SIMD.  The legs must agree bit-for-bit on every QueryStats counter,
+// result count and kNN distance (the dispatch contract of
+// geom/rect_batch.h); only the wall clock may differ.  SIMD speedup is
+// per-core, so the headline ratio — SIMD over scalar on the same tree —
+// shows on a single-core CI container too.
 //
 // Writes BENCH_warmquery.json (gated against
 // bench/baselines/warmquery.json by tools/bench_compare.py: counters
@@ -53,8 +51,7 @@ using namespace prtree;  // NOLINT
 namespace {
 
 struct LegResult {
-  const char* layout = "";  // "v1" / "v2"
-  std::string simd;         // "scalar" / "avx2" / "neon"
+  std::string simd;  // "scalar" / "avx2" / "neon"
   double window_seconds = 0;
   double knn_seconds = 0;
   uint64_t leaves = 0;
@@ -79,12 +76,11 @@ void DigestNeighbor(uint64_t* h, uint32_t id, Real dist) {
   }
 }
 
-LegResult RunLeg(const harness::BuiltIndex& index, const char* layout,
-                 SimdLevel level, const std::vector<Rect2>& windows,
+LegResult RunLeg(const harness::BuiltIndex& index, SimdLevel level,
+                 const std::vector<Rect2>& windows,
                  const std::vector<std::array<Real, 2>>& knn_points,
                  size_t k, int repeats) {
   LegResult leg;
-  leg.layout = layout;
   leg.simd = SimdLevelName(ForceSimdLevel(level));
 
   // Pool bigger than the tree: after one warmup pass every node is
@@ -206,71 +202,50 @@ int main(int argc, char** argv) {
   std::printf("=== query_warm: n=%zu, windows=%zu (area %.2e), knn=%zu x k=%zu%s ===\n",
               n, num_queries, qarea, num_knn, k, smoke ? " (smoke)" : "");
 
-  // The same records through the same loader in both node layouts: same
-  // tree shape, same page ids, different byte layout inside each page.
-  NodeLayout prev_layout = SetDefaultNodeLayout(NodeLayout::kAoS);
-  harness::BuiltIndex v1 = harness::BuildIndex(
+  harness::BuiltIndex index = harness::BuildIndex(
       harness::Variant::kPrTree, data, /*memory_bytes=*/0, /*threads=*/1);
-  SetDefaultNodeLayout(NodeLayout::kSoA);
-  harness::BuiltIndex v2 = harness::BuildIndex(
-      harness::Variant::kPrTree, data, /*memory_bytes=*/0, /*threads=*/1);
-  SetDefaultNodeLayout(prev_layout);
 
   const SimdLevel prev_level = ActiveSimdLevel();
   std::vector<LegResult> legs;
-  legs.push_back(RunLeg(v1, "v1", SimdLevel::kScalar, windows, knn_points, k,
-                        repeats));
-  legs.push_back(RunLeg(v1, "v1", SimdLevel::kAvx2, windows, knn_points, k,
-                        repeats));
-  legs.push_back(RunLeg(v2, "v2", SimdLevel::kScalar, windows, knn_points, k,
-                        repeats));
-  legs.push_back(RunLeg(v2, "v2", SimdLevel::kAvx2, windows, knn_points, k,
-                        repeats));
+  legs.push_back(
+      RunLeg(index, SimdLevel::kScalar, windows, knn_points, k, repeats));
+  legs.push_back(
+      RunLeg(index, SimdLevel::kAvx2, windows, knn_points, k, repeats));
   ForceSimdLevel(prev_level);
 
-  std::printf("%4s %8s %12s %12s %12s %12s %14s\n", "fmt", "simd",
-              "window s", "knn s", "leaf I/Os", "results", "knn digest");
+  std::printf("%8s %12s %12s %12s %12s %14s\n", "simd", "window s",
+              "knn s", "leaf I/Os", "results", "knn digest");
   for (const LegResult& leg : legs) {
-    std::printf("%4s %8s %12.4f %12.4f %12llu %12llu %14llx\n", leg.layout,
-                leg.simd.c_str(), leg.window_seconds, leg.knn_seconds,
+    std::printf("%8s %12.4f %12.4f %12llu %12llu %14llx\n", leg.simd.c_str(),
+                leg.window_seconds, leg.knn_seconds,
                 static_cast<unsigned long long>(leg.leaves),
                 static_cast<unsigned long long>(leg.results),
                 static_cast<unsigned long long>(leg.knn_digest));
   }
 
-  // The identity contract: every leg visits the same nodes, returns the
-  // same results, and reports bit-identical kNN distances — layout and
-  // SIMD dispatch may only change the clock.
-  bool ok = true;
-  for (const LegResult& leg : legs) {
-    const LegResult& ref = legs[0];
-    if (leg.leaves != ref.leaves || leg.internal != ref.internal ||
-        leg.results != ref.results || leg.knn_leaves != ref.knn_leaves ||
-        leg.knn_internal != ref.knn_internal ||
-        leg.knn_results != ref.knn_results ||
-        leg.knn_digest != ref.knn_digest) {
-      std::fprintf(stderr, "!! leg %s/%s diverged from %s/%s\n", leg.layout,
-                   leg.simd.c_str(), ref.layout, ref.simd.c_str());
-      ok = false;
-    }
-  }
-  // The v1 and v2 builds must also be the same tree, page for page count.
-  if (v1.tree_stats.num_nodes != v2.tree_stats.num_nodes ||
-      v1.tree_stats.num_leaves != v2.tree_stats.num_leaves ||
-      v1.tree_stats.height != v2.tree_stats.height) {
-    std::fprintf(stderr, "!! v1/v2 builds differ in shape\n");
-    ok = false;
+  // The identity contract: both legs visit the same nodes, return the
+  // same results, and report bit-identical kNN distances — SIMD dispatch
+  // may only change the clock.
+  const LegResult& base = legs[0];  // scalar
+  const LegResult& best = legs[1];  // SIMD: the shipped configuration
+  bool ok = best.leaves == base.leaves && best.internal == base.internal &&
+            best.results == base.results &&
+            best.knn_leaves == base.knn_leaves &&
+            best.knn_internal == base.knn_internal &&
+            best.knn_results == base.knn_results &&
+            best.knn_digest == base.knn_digest;
+  if (!ok) {
+    std::fprintf(stderr, "!! leg %s diverged from %s\n", best.simd.c_str(),
+                 base.simd.c_str());
   }
 
-  const LegResult& base = legs[0];   // v1 + scalar: the pre-PR configuration
-  const LegResult& best = legs[3];   // v2 + SIMD:   the shipped configuration
   double window_speedup =
       best.window_seconds > 0 ? base.window_seconds / best.window_seconds : 1;
   double knn_speedup =
       best.knn_seconds > 0 ? base.knn_seconds / best.knn_seconds : 1;
-  std::printf("warm window speedup (v2-%s over v1-scalar): %.2fx\n",
+  std::printf("warm window speedup (%s over scalar): %.2fx\n",
               best.simd.c_str(), window_speedup);
-  std::printf("warm knn speedup    (v2-%s over v1-scalar): %.2fx\n",
+  std::printf("warm knn speedup    (%s over scalar): %.2fx\n",
               best.simd.c_str(), knn_speedup);
 
   std::string json = "{\n  \"bench\": \"query_warm\",\n";
@@ -280,20 +255,20 @@ int main(int argc, char** argv) {
                 "  \"k\": %zu,\n  \"capacity\": %zu,\n"
                 "  \"tree_nodes\": %llu,\n  \"tree_leaves\": %llu,\n"
                 "  \"simd\": \"%s\",\n",
-                n, num_queries, num_knn, k, v2.tree->capacity(),
-                static_cast<unsigned long long>(v2.tree_stats.num_nodes),
-                static_cast<unsigned long long>(v2.tree_stats.num_leaves),
-                legs[3].simd.c_str());
+                n, num_queries, num_knn, k, index.tree->capacity(),
+                static_cast<unsigned long long>(index.tree_stats.num_nodes),
+                static_cast<unsigned long long>(index.tree_stats.num_leaves),
+                best.simd.c_str());
   json += buf;
   json += "  \"legs\": [\n";
   for (size_t i = 0; i < legs.size(); ++i) {
     const LegResult& leg = legs[i];
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"layout\": \"%s\", \"simd\": \"%s\", "
+        "    {\"simd\": \"%s\", "
         "\"window_seconds\": %.6f, \"knn_seconds\": %.6f, "
         "\"leaves\": %llu, \"results\": %llu, \"knn_results\": %llu}%s\n",
-        leg.layout, leg.simd.c_str(), leg.window_seconds, leg.knn_seconds,
+        leg.simd.c_str(), leg.window_seconds, leg.knn_seconds,
         static_cast<unsigned long long>(leg.leaves),
         static_cast<unsigned long long>(leg.results),
         static_cast<unsigned long long>(leg.knn_results),

@@ -1,6 +1,6 @@
 // Batched rectangle kernels over struct-of-arrays coordinate runs.
 //
-// The v2 node layout (rtree/node.h) stores a node's MBRs as contiguous
+// The node layout (rtree/node.h) stores a node's MBRs as contiguous
 // xmin[]/ymin[]/xmax[]/ymax[] runs precisely so that one SIMD lane can test
 // 4 (AVX2) or 2 (NEON) rectangles branch-free.  This header is the kernel
 // library the traversal layers call: batched window-intersection and

@@ -194,8 +194,9 @@ class JournaledTree {
         return Status::Corruption("recovered root page is not readable: " +
                                   st.message());
       }
-      if (!ConstNodeView<D>(buf.data(), dev->block_size()).IsFormatted()) {
-        return Status::Corruption("recovered root page is not a node");
+      st = ConstNodeView<D>(buf.data(), dev->block_size()).CheckFormat();
+      if (!st.ok()) {
+        return Status::Corruption("recovered root page: " + st.message());
       }
       t->tree_->SetRoot(root, height, size);
     }
@@ -362,7 +363,7 @@ class JournaledTree {
         mark[p] = 1;
         if (!dev->ReadMeta(p, buf.data()).ok()) continue;
         ConstNodeView<D> node(buf.data(), dev->block_size());
-        if (!node.IsFormatted() || node.is_leaf()) continue;
+        if (!node.CheckFormat().ok() || node.is_leaf()) continue;
         for (int i = 0; i < node.count(); ++i) {
           stack.push_back(node.GetId(i));
         }

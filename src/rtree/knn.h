@@ -125,8 +125,7 @@ std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree, PageId root,
     ++local.nodes_visited;
     // One batched squared-MINDIST pass per node; std::sqrt(d2[i]) is
     // bit-identical to the scalar MinDist above, so heap order, visit
-    // counters and reported distances are unchanged by layout or SIMD
-    // dispatch.
+    // counters and reported distances are unchanged by SIMD dispatch.
     const Real* d2 = scan.MinDist2(node, point);
     if (node.is_leaf()) {
       ++local.leaves_visited;

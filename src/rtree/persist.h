@@ -166,33 +166,50 @@ Status LoadTree(const std::string& path, RTree<D>* tree) {
     std::fclose(f);
     return Status::Corruption("snapshot with zero pages");
   }
+  // The header is untrusted: bound page_count by what the file can hold
+  // before allocating anything for it.
+  const long file_size = std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
+  if (file_size < 0 ||
+      std::fseek(f, static_cast<long>(sizeof(header)), SEEK_SET) != 0) {
+    std::fclose(f);
+    return Status::IoError("cannot seek " + path);
+  }
+  const uint64_t pages_in_file =
+      (static_cast<uint64_t>(file_size) - sizeof(header)) / header.block_size;
+  if (header.page_count > pages_in_file) {
+    std::fclose(f);
+    return Status::Corruption(
+        "snapshot header claims " + std::to_string(header.page_count) +
+        " pages but the file holds " + std::to_string(pages_in_file));
+  }
 
   // Allocate destination pages up front so BFS indices can be remapped.
   std::vector<PageId> pages(header.page_count);
   for (auto& p : pages) p = tree->device()->Allocate();
+  auto fail = [&](Status st) {
+    std::fclose(f);
+    for (auto p : pages) tree->device()->Free(p);
+    return st;
+  };
 
   std::vector<std::byte> buf(tree->block_size());
   for (uint32_t i = 0; i < header.page_count; ++i) {
     if (std::fread(buf.data(), tree->block_size(), 1, f) != 1) {
-      std::fclose(f);
-      for (auto p : pages) tree->device()->Free(p);
-      return Status::Corruption("snapshot truncated at page " +
-                                std::to_string(i));
+      return fail(Status::Corruption("snapshot truncated at page " +
+                                     std::to_string(i)));
     }
     NodeView<D> node(buf.data(), tree->block_size());
-    if (!node.IsFormatted()) {
-      std::fclose(f);
-      for (auto p : pages) tree->device()->Free(p);
-      return Status::Corruption("snapshot page " + std::to_string(i) +
-                                " is not a node");
+    Status st = node.CheckFormat();
+    if (!st.ok()) {
+      return fail(Status::Corruption("snapshot page " + std::to_string(i) +
+                                     ": " + st.message()));
     }
     if (!node.is_leaf()) {
       for (int e = 0; e < node.count(); ++e) {
         uint32_t idx = node.GetId(e);
         if (idx >= header.page_count) {
-          std::fclose(f);
-          for (auto p : pages) tree->device()->Free(p);
-          return Status::Corruption("snapshot child index out of range");
+          return fail(
+              Status::Corruption("snapshot child index out of range"));
         }
         node.SetEntry(e, node.GetRect(e), pages[idx]);
       }
@@ -304,8 +321,9 @@ Status AttachTree(FileBlockDevice* device, RTree<D>* tree) {
     return Status::Corruption("persisted root page is not readable: " +
                               st.message());
   }
-  if (!NodeView<D>(buf.data(), tree->block_size()).IsFormatted()) {
-    return Status::Corruption("persisted root page is not a node");
+  st = ConstNodeView<D>(buf.data(), tree->block_size()).CheckFormat();
+  if (!st.ok()) {
+    return Status::Corruption("persisted root page: " + st.message());
   }
   tree->SetRoot(meta.root, meta.height, meta.record_count);
   return Status::OK();

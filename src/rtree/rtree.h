@@ -190,8 +190,8 @@ class RTree {
       PinNode(page, pool, &guard);
       ConstNodeView<D> node(guard.data(), block_size());
       ++qs.nodes_visited;
-      // One batched intersection test per node (SIMD over SoA runs when
-      // the layout and CPU allow — see rtree/node_scan.h); iterating the
+      // One batched intersection test per node (SIMD over the SoA runs
+      // when the CPU allows — see rtree/node_scan.h); iterating the
       // mask in increasing entry order keeps emit order and QueryStats
       // byte-identical to the historical per-entry loop.
       const uint64_t* mask = scan.IntersectMask(node, window);

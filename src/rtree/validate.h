@@ -61,9 +61,10 @@ Status ValidateTree(const RTree<D>& tree,
     if (!st.ok()) return Status::Corruption("unreadable page: " +
                                             st.ToString());
     ConstNodeView<D> node(guard.data(), tree.block_size());
-    if (!node.IsFormatted()) {
-      return Status::Corruption("page " + std::to_string(item.page) +
-                                " is not a formatted node");
+    st = node.CheckFormat();
+    if (!st.ok()) {
+      return Status::Corruption("page " + std::to_string(item.page) + ": " +
+                                st.message());
     }
     if (opts.check_balance && node.level() != item.expected_level) {
       return Status::Corruption(
@@ -90,7 +91,7 @@ Status ValidateTree(const RTree<D>& tree,
       // claimed MBR.  Implied by the exact-union check above, so this is
       // really validating the kernel seam — the same BatchContainedIn the
       // query layers dispatch must agree with the scalar geometry on live
-      // on-disk nodes of either layout.
+      // on-disk nodes.
       const uint64_t* inside = scan.ContainedInMask(node, item.expected_mbr);
       for (int i = 0; i < node.count(); ++i) {
         if ((inside[i >> 6] & (uint64_t{1} << (i & 63))) == 0) {

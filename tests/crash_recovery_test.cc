@@ -166,7 +166,7 @@ size_t CountReachable(FileBlockDevice* dev, PageId root) {
     ++n;
     if (!dev->ReadMeta(p, buf.data()).ok()) continue;
     ConstNodeView<2> node(buf.data(), dev->block_size());
-    if (!node.IsFormatted() || node.is_leaf()) continue;
+    if (!node.CheckFormat().ok() || node.is_leaf()) continue;
     for (int i = 0; i < node.count(); ++i) stack.push_back(node.GetId(i));
   }
   return n;

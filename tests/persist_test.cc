@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "core/prtree.h"
 #include "io/file_block_device.h"
@@ -168,6 +170,59 @@ TEST_F(PersistTest, DetectsTruncationAndCorruption) {
   MemoryBlockDevice dev3(512);
   RTree<2> loaded3(&dev3);
   EXPECT_EQ(LoadTree(path_, &loaded3).code(), StatusCode::kCorruption);
+}
+
+// A node page whose count exceeds its capacity would send the GetId loop
+// past the end of the block; the node check must refuse it first.
+TEST_F(PersistTest, RejectsNodeCountAboveCapacity) {
+  std::vector<std::byte> block(kDefaultBlockSize);
+  NodeView<2>(block.data(), block.size()).Format(1);
+  const uint16_t hostile_count = 60000;
+  std::memcpy(block.data() + 6, &hostile_count, sizeof(hostile_count));
+  persist_internal::SnapshotHeader header{
+      persist_internal::kSnapshotMagic, persist_internal::kSnapshotVersion,
+      static_cast<uint32_t>(kDefaultBlockSize), 2, 1, 1, 1};
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, f), 1u);
+    ASSERT_EQ(std::fwrite(block.data(), block.size(), 1, f), 1u);
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  MemoryBlockDevice dev;
+  RTree<2> loaded(&dev);
+  Status st = LoadTree(path_, &loaded);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("exceeds capacity"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(dev.num_allocated(), 0u);
+}
+
+// A header that claims more pages than the file holds is refused before
+// any destination page is allocated.
+TEST_F(PersistTest, RejectsPageCountBeyondFileSize) {
+  MemoryBlockDevice dev(512);
+  RTree<2> tree(&dev);
+  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20},
+                                 RandomRects<2>(500, 37), &tree));
+  ASSERT_TRUE(SaveTree(tree, path_).ok());
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    persist_internal::SnapshotHeader header;
+    ASSERT_EQ(std::fread(&header, sizeof(header), 1, f), 1u);
+    header.page_count += 1000;
+    ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, f), 1u);
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  MemoryBlockDevice dev2(512);
+  dev2.Allocate();
+  RTree<2> loaded(&dev2);
+  Status st = LoadTree(path_, &loaded);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_EQ(dev2.num_allocated(), 1u);
+  EXPECT_EQ(dev2.peak_allocated(), 1u);
 }
 
 // The in-place reopen path of the file backend: build straight onto a

@@ -22,9 +22,9 @@ TEST(NodeLayoutTest, PaperRecordSizesAndFanout) {
 TEST(NodeViewTest, FormatAndHeaderFields) {
   std::vector<std::byte> buf(4096);
   NodeView<2> node(buf.data(), buf.size());
-  EXPECT_FALSE(node.IsFormatted());
+  EXPECT_FALSE(node.CheckFormat().ok());
   node.Format(3);
-  EXPECT_TRUE(node.IsFormatted());
+  EXPECT_TRUE(node.CheckFormat().ok());
   EXPECT_EQ(node.level(), 3);
   EXPECT_FALSE(node.is_leaf());
   EXPECT_EQ(node.count(), 0);
@@ -59,7 +59,7 @@ TEST(NodeViewTest, SerializationSurvivesDeviceRoundTrip) {
   std::vector<std::byte> buf2(4096);
   ASSERT_TRUE(dev.Read(p, buf2.data()).ok());
   NodeView<2> node2(buf2.data(), buf2.size());
-  EXPECT_TRUE(node2.IsFormatted());
+  EXPECT_TRUE(node2.CheckFormat().ok());
   EXPECT_EQ(node2.level(), 2);
   ASSERT_EQ(node2.count(), 50);
   for (int i = 0; i < 50; ++i) {
