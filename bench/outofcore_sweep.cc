@@ -1,22 +1,22 @@
 // Out-of-core query sweep: buffer-pool budget « dataset, on the real
-// file-backed devices, with frontier readahead on and off.
+// file-backed devices.
 //
 // The paper reports query cost in leaf I/Os because, in the external-memory
 // model, *which* blocks a traversal touches is the algorithm's property
 // (§3.3).  This bench measures the other axis — what the storage engine
 // makes of those touches when the pool cannot hold the tree: at each budget
 // point (a fraction of the tree's pages, 1/16 → 1/2) it runs the same query
-// batch twice, scalar (each leaf miss is one synchronous pread) and with
-// readahead (each frontier is prefetched as one batch — a single io_uring
-// submission on --device=uring).  Leaf I/Os, results and visit counters are
-// asserted identical across every budget, readahead mode and device: the
-// sweep only redistributes the same block transfers in time.
+// batch once per device.  The pool prefetches each frontier as one batch
+// only where the device says that pays (io_uring under O_DIRECT), so
+// `--direct --verify-cross-device` times scalar file misses against uring
+// readahead.  Leaf I/Os, results and visit counters are asserted identical
+// across every budget and device: the sweep only redistributes the same
+// block transfers in time.
 //
 // Writes BENCH_outofcore.json (see tools/bench_compare.py for the gating
 // semantics: `leaves`/`results`/reads are exact, `speedup` entries are
-// ratio-gated, raw seconds are informational).  On a single-core CI
-// container the speedups sit near 1x — re-baseline on real hardware per
-// docs/TUNING.md.
+// ratio-gated, raw seconds are informational).  Re-baseline on new
+// hardware per docs/TUNING.md.
 //
 //   --n=<records>        dataset size (default 300k)
 //   --queries=<count>    windows per measurement (default 256)
@@ -27,14 +27,15 @@
 //                        0.0625,0.125,0.25,0.5)
 //   --repeats=<count>    timing repeats per point, minimum kept (default 3)
 //   --direct             request O_DIRECT: misses pay real device latency
-//                        instead of warm page-cache memcpys, which is the
-//                        regime where batched readahead wins (best effort;
-//                        silently buffered where the fs refuses)
+//                        instead of warm page-cache memcpys, and the uring
+//                        device reads ahead (best effort; silently
+//                        buffered, without readahead, where the fs refuses)
 //   --out=<path>         JSON output path (default BENCH_outofcore.json)
 //   --smoke              tiny run for the ctest tier1 label
 //   --verify-cross-device  additionally run the sweep on the *other*
-//                        file-backed device and require identical leaf
-//                        I/Os and result counts point by point
+//                        file-backed device, require identical leaf I/Os
+//                        and result counts point by point, and report file
+//                        seconds over uring seconds as speedup_readahead
 //   --write              run the build-phase write leg instead of the query
 //                        sweep: at each budget point (memory budget as a
 //                        fraction of the dataset's bytes) the same PR-tree
@@ -52,11 +53,11 @@
 //                        records never materialize in RAM), grid-built
 //                        (force_grid) under the paper-proportional memory
 //                        budget, then measured with window queries and kNN
-//                        on BOTH the file and uring backends.  Every demand
-//                        counter (and the kNN result digest) must be
-//                        byte-identical across the two devices; the check
-//                        folds into "deterministic".  SPEC is a comma list
-//                        of counts with K/M suffixes; "A..B" expands by
+//                        on BOTH the file and uring backends.  Every
+//                        traversal counter (and the kNN result digest) must
+//                        be byte-identical across the two devices; the
+//                        check folds into "deterministic".  SPEC is a comma
+//                        list of counts with K/M suffixes; "A..B" expands by
 //                        doubling from A and always includes B
 //                        (10M..100M -> 10M,20M,40M,80M,100M).  Writes
 //                        BENCH_scale.json (--out overrides).
@@ -86,10 +87,59 @@ using namespace prtree;  // NOLINT
 
 namespace {
 
+/// Closes `json` with the "deterministic" verdict, writes it to `out_path`
+/// and returns the exit code: nonzero if the write or the bench's own
+/// `check` failed.
+int WriteBenchJson(std::string json, bool ok, const std::string& out_path,
+                   const char* check) {
+  json += std::string("  \"deterministic\": ") + (ok ? "true" : "false") +
+          "\n}\n";
+  FILE* f = std::fopen(out_path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    return 1;
+  }
+  std::fputs(json.c_str(), f);
+  std::fclose(f);
+  std::printf("wrote %s\n", out_path.c_str());
+  if (ok) return 0;
+  std::fprintf(stderr, "%s CHECK FAILED\n", check);
+  return 1;
+}
+
+/// What a device settled at Open().  Every leg reports it: it decides how
+/// the leg's reads split into demand and prefetch transfers.
+struct DeviceFacts {
+  std::string device;
+  bool ring_active = false;
+  bool direct_io = false;  // negotiated, not requested
+  bool readahead = false;  // BlockDevice::ReadaheadPays()
+};
+
+DeviceFacts FactsOf(const std::string& device_kind, const BlockDevice& dev) {
+  DeviceFacts f;
+  f.device = device_kind;
+  if (auto* uring = dynamic_cast<const UringBlockDevice*>(&dev)) {
+    f.ring_active = uring->ring_active();
+  }
+  if (auto* file = dynamic_cast<const FileBlockDevice*>(&dev)) {
+    f.direct_io = file->direct_io();
+  }
+  f.readahead = dev.ReadaheadPays();
+  return f;
+}
+
+/// Opens a leg's JSON object with its device facts.
+std::string JsonForFacts(const DeviceFacts& f) {
+  auto b = [](bool v) { return std::string(v ? "true" : "false"); };
+  return "  {\n    \"device\": \"" + f.device + "\",\n    \"ring_active\": " +
+         b(f.ring_active) + ",\n    \"direct_io\": " + b(f.direct_io) +
+         ",\n    \"readahead\": " + b(f.readahead) + ",\n";
+}
+
 struct SweepPoint {
   double budget_frac = 0;
   size_t capacity = 0;
-  bool readahead = false;
   double seconds = 0;
   uint64_t leaves = 0;
   uint64_t internal = 0;
@@ -103,19 +153,16 @@ struct SweepPoint {
 };
 
 struct SweepResult {
-  std::string device;
-  bool ring_active = false;
-  bool direct_io = false;  // negotiated, not requested
+  DeviceFacts facts;
   harness::BuiltIndex index;
   std::vector<SweepPoint> points;
 };
 
 SweepPoint RunPoint(const harness::BuiltIndex& index,
                     const std::vector<Rect2>& queries, double frac,
-                    bool readahead, int repeats) {
+                    int repeats) {
   SweepPoint pt;
   pt.budget_frac = frac;
-  pt.readahead = readahead;
   pt.capacity = std::max<size_t>(
       4, static_cast<size_t>(frac *
                              static_cast<double>(index.tree_stats.num_nodes)));
@@ -127,7 +174,6 @@ SweepPoint RunPoint(const harness::BuiltIndex& index,
   pt.seconds = 0;
   for (int rep = 0; rep < repeats; ++rep) {
     BufferPool pool(index.device.get(), pt.capacity);
-    pool.set_readahead(readahead);
     index.device->ResetStats();
     uint64_t leaves = 0, internal = 0, results = 0;
 
@@ -160,57 +206,42 @@ SweepResult RunSweep(const std::string& device_kind, const std::string& path,
                      const std::vector<Rect2>& queries,
                      const std::vector<double>& budgets, int repeats) {
   SweepResult r;
-  r.device = device_kind;
   harness::DeviceSpec spec;
   spec.kind = device_kind;
   spec.path = path;
   spec.direct_io = direct_io;
   r.index = harness::BuildIndex(harness::Variant::kPrTree, data,
                                 /*memory_bytes=*/0, /*threads=*/1, spec);
-  if (auto* uring =
-          dynamic_cast<UringBlockDevice*>(r.index.device.get())) {
-    r.ring_active = uring->ring_active();
-  }
-  if (auto* file = dynamic_cast<FileBlockDevice*>(r.index.device.get())) {
-    r.direct_io = file->direct_io();
-  }
-  std::printf("--- %s device (%s%s): %llu nodes, %llu leaves ---\n",
+  r.facts = FactsOf(device_kind, *r.index.device);
+  std::printf("--- %s device (%s%s, readahead %s): %llu nodes, %llu "
+              "leaves ---\n",
               device_kind.c_str(),
-              r.ring_active ? "io_uring active" : "pread path",
-              r.direct_io ? ", O_DIRECT" : "",
+              r.facts.ring_active ? "io_uring active" : "pread path",
+              r.facts.direct_io ? ", O_DIRECT" : "",
+              r.facts.readahead ? "on" : "off",
               static_cast<unsigned long long>(r.index.tree_stats.num_nodes),
               static_cast<unsigned long long>(r.index.tree_stats.num_leaves));
-  std::printf("%8s %9s %10s %10s %12s %12s %14s %9s\n", "budget", "frames",
-              "readahead", "seconds", "leaf I/Os", "pool misses",
-              "prefetch(use%)", "speedup");
+  std::printf("%8s %9s %10s %12s %12s %14s\n", "budget", "frames", "seconds",
+              "leaf I/Os", "pool misses", "prefetch(use%)");
   for (double frac : budgets) {
-    SweepPoint scalar =
-        RunPoint(r.index, queries, frac, /*readahead=*/false, repeats);
-    SweepPoint ahead =
-        RunPoint(r.index, queries, frac, /*readahead=*/true, repeats);
-    double speedup =
-        ahead.seconds > 0 ? scalar.seconds / ahead.seconds : 1.0;
-    for (const SweepPoint* pt : {&scalar, &ahead}) {
-      double use = pt->prefetch_staged > 0
-                       ? 100.0 * static_cast<double>(pt->prefetch_useful) /
-                             static_cast<double>(pt->prefetch_staged)
-                       : 0.0;
-      std::printf("%8.4f %9zu %10s %10.3f %12llu %12llu %8llu(%3.0f%%) %8.2fx\n",
-                  pt->budget_frac, pt->capacity, pt->readahead ? "on" : "off",
-                  pt->seconds, static_cast<unsigned long long>(pt->leaves),
-                  static_cast<unsigned long long>(pt->pool_misses),
-                  static_cast<unsigned long long>(pt->prefetch_staged), use,
-                  pt->readahead ? speedup : 1.0);
-    }
-    r.points.push_back(scalar);
-    r.points.push_back(ahead);
+    SweepPoint pt = RunPoint(r.index, queries, frac, repeats);
+    double use = pt.prefetch_staged > 0
+                     ? 100.0 * static_cast<double>(pt.prefetch_useful) /
+                           static_cast<double>(pt.prefetch_staged)
+                     : 0.0;
+    std::printf("%8.4f %9zu %10.3f %12llu %12llu %8llu(%3.0f%%)\n",
+                pt.budget_frac, pt.capacity, pt.seconds,
+                static_cast<unsigned long long>(pt.leaves),
+                static_cast<unsigned long long>(pt.pool_misses),
+                static_cast<unsigned long long>(pt.prefetch_staged), use);
+    r.points.push_back(pt);
   }
   return r;
 }
 
-/// The §3.3 invariant this sweep must never bend: readahead and budget
-/// change when blocks are read, never what the traversal visits or
-/// returns.  Every point of a sweep must agree on leaves/internal/results.
+/// The §3.3 invariant this sweep must never bend: the budget changes when
+/// blocks are read, never what the traversal visits or returns.  Every
+/// point of a sweep must agree on leaves/internal/results.
 bool CheckUniform(const SweepResult& r) {
   bool ok = true;
   for (const SweepPoint& pt : r.points) {
@@ -218,9 +249,9 @@ bool CheckUniform(const SweepResult& r) {
         pt.internal != r.points[0].internal ||
         pt.results != r.points[0].results) {
       std::fprintf(stderr,
-                   "!! %s: budget %.4f readahead=%d changed the traversal "
+                   "!! %s: budget %.4f changed the traversal "
                    "(leaves %llu vs %llu)\n",
-                   r.device.c_str(), pt.budget_frac, pt.readahead ? 1 : 0,
+                   r.facts.device.c_str(), pt.budget_frac,
                    static_cast<unsigned long long>(pt.leaves),
                    static_cast<unsigned long long>(r.points[0].leaves));
       ok = false;
@@ -229,15 +260,9 @@ bool CheckUniform(const SweepResult& r) {
   return ok;
 }
 
-std::string JsonForSweep(const SweepResult& r,
-                         const std::vector<double>& budgets) {
+std::string JsonForSweep(const SweepResult& r) {
   char buf[512];
-  std::string json = "  {\n";
-  json += "    \"device\": \"" + r.device + "\",\n";
-  json += std::string("    \"ring_active\": ") +
-          (r.ring_active ? "true" : "false") + ",\n";
-  json += std::string("    \"direct_io\": ") +
-          (r.direct_io ? "true" : "false") + ",\n";
+  std::string json = JsonForFacts(r.facts);
   std::snprintf(buf, sizeof(buf),
                 "    \"tree_nodes\": %llu,\n    \"tree_leaves\": %llu,\n",
                 static_cast<unsigned long long>(r.index.tree_stats.num_nodes),
@@ -249,13 +274,13 @@ std::string JsonForSweep(const SweepResult& r,
     const SweepPoint& pt = r.points[i];
     std::snprintf(
         buf, sizeof(buf),
-        "      {\"budget\": %.4f, \"capacity\": %zu, \"readahead\": %s, "
+        "      {\"budget\": %.4f, \"capacity\": %zu, "
         "\"seconds\": %.6f, \"leaves\": %llu, \"results\": %llu, "
         "\"pool_hits\": %llu, \"pool_misses\": %llu, \"demand_reads\": %llu, "
         "\"prefetch_reads\": %llu, \"prefetch_staged\": %llu, "
         "\"prefetch_useful\": %llu}%s\n",
-        pt.budget_frac, pt.capacity, pt.readahead ? "true" : "false",
-        pt.seconds, static_cast<unsigned long long>(pt.leaves),
+        pt.budget_frac, pt.capacity, pt.seconds,
+        static_cast<unsigned long long>(pt.leaves),
         static_cast<unsigned long long>(pt.results),
         static_cast<unsigned long long>(pt.pool_hits),
         static_cast<unsigned long long>(pt.pool_misses),
@@ -266,19 +291,7 @@ std::string JsonForSweep(const SweepResult& r,
         i + 1 < r.points.size() ? "," : "");
     json += buf;
   }
-  json += "    ],\n";
-  // Wall-clock ratios of two same-machine, same-device runs: the only
-  // timing numbers stable enough to gate on (machine speed cancels).
-  json += "    \"speedup_readahead\": {";
-  for (size_t b = 0; b < budgets.size(); ++b) {
-    const SweepPoint& scalar = r.points[2 * b];
-    const SweepPoint& ahead = r.points[2 * b + 1];
-    std::snprintf(buf, sizeof(buf), "%s\"%.4f\": %.3f",
-                  b == 0 ? "" : ", ", budgets[b],
-                  ahead.seconds > 0 ? scalar.seconds / ahead.seconds : 1.0);
-    json += buf;
-  }
-  json += "}\n  }";
+  json += "    ]\n  }";
   return json;
 }
 
@@ -299,9 +312,7 @@ struct WritePoint {
 };
 
 struct WriteLeg {
-  std::string device;
-  bool ring_active = false;
-  bool direct_io = false;
+  DeviceFacts facts;
   std::vector<WritePoint> points;
 };
 
@@ -325,7 +336,6 @@ WriteLeg RunWriteLeg(const std::string& device_kind, const std::string& path,
                      bool direct_io, const std::vector<Record2>& data,
                      const std::vector<double>& budgets, int repeats) {
   WriteLeg leg;
-  leg.device = device_kind;
   const size_t data_bytes = data.size() * sizeof(Record2);
   for (double frac : budgets) {
     WritePoint pt;
@@ -339,12 +349,7 @@ WriteLeg RunWriteLeg(const std::string& device_kind, const std::string& path,
       spec.path = path;
       spec.direct_io = direct_io;
       auto dev = harness::OpenDeviceOrDie(spec, kDefaultBlockSize);
-      if (auto* uring = dynamic_cast<UringBlockDevice*>(dev.get())) {
-        leg.ring_active = uring->ring_active();
-      }
-      if (auto* file = dynamic_cast<FileBlockDevice*>(dev.get())) {
-        leg.direct_io = file->direct_io();
-      }
+      leg.facts = FactsOf(device_kind, *dev);
       WorkEnv env{dev.get(), pt.memory_bytes};
       PrTreeOptions opts;
       opts.force_grid = true;  // always the external, write-heavy path
@@ -371,12 +376,7 @@ WriteLeg RunWriteLeg(const std::string& device_kind, const std::string& path,
 
 std::string JsonForWriteLeg(const WriteLeg& leg) {
   char buf[512];
-  std::string json = "  {\n";
-  json += "    \"device\": \"" + leg.device + "\",\n";
-  json += std::string("    \"ring_active\": ") +
-          (leg.ring_active ? "true" : "false") + ",\n";
-  json += std::string("    \"direct_io\": ") +
-          (leg.direct_io ? "true" : "false") + ",\n";
+  std::string json = JsonForFacts(leg.facts);
   json += "    \"points\": [\n";
   for (size_t i = 0; i < leg.points.size(); ++i) {
     const WritePoint& pt = leg.points[i];
@@ -513,22 +513,7 @@ int RunWritePhase(const std::string& device_kind, const std::string& path,
   std::snprintf(buf, sizeof(buf), "  \"speedup_writebatch_micro\": %.3f,\n",
                 micro_speedup);
   json += buf;
-  json += std::string("  \"deterministic\": ") + (ok ? "true" : "false") +
-          "\n}\n";
-
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "BYTE-IDENTITY CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+  return WriteBenchJson(json, ok, out_path, "BYTE-IDENTITY");
 }
 
 // ---------------------------------------------------------------------------
@@ -536,7 +521,7 @@ int RunWritePhase(const std::string& device_kind, const std::string& path,
 // K/M-suffixed spec; each point streams the seeded generator straight into
 // a device-resident Stream (no in-RAM dataset), grid-builds, then measures
 // window queries and kNN on both file and uring, asserting byte-identical
-// demand counters across the two backends.
+// traversal counters across the two backends.
 
 size_t ParseRecordCount(const std::string& tok) {
   char* end = nullptr;
@@ -579,7 +564,7 @@ struct ScalePoint {
   uint64_t build_writes = 0;
   uint64_t tree_nodes = 0;
   uint64_t tree_leaves = 0;
-  // Window phase (readahead pool at a fraction of the tree).
+  // Window phase (a pool holding a fraction of the tree).
   double window_seconds = 0;
   uint64_t window_leaves = 0;
   uint64_t window_results = 0;
@@ -593,9 +578,7 @@ struct ScalePoint {
 };
 
 struct ScaleLeg {
-  std::string device;
-  bool ring_active = false;
-  bool direct_io = false;
+  DeviceFacts facts;
   std::vector<ScalePoint> points;
 };
 
@@ -610,12 +593,7 @@ ScalePoint RunScalePoint(const std::string& device_kind,
   spec.path = path;
   spec.direct_io = direct_io;
   auto dev = harness::OpenDeviceOrDie(spec, kDefaultBlockSize);
-  if (auto* uring = dynamic_cast<UringBlockDevice*>(dev.get())) {
-    leg->ring_active = uring->ring_active();
-  }
-  if (auto* file = dynamic_cast<FileBlockDevice*>(dev.get())) {
-    leg->direct_io = file->direct_io();
-  }
+  leg->facts = FactsOf(device_kind, *dev);
 
   // Stage the dataset straight from the generator: the only RAM cost is
   // the stream's one-block write buffer.
@@ -642,15 +620,14 @@ ScalePoint RunScalePoint(const std::string& device_kind,
   pt.tree_nodes = ts.num_nodes;
   pt.tree_leaves = ts.num_leaves;
 
-  // Out-of-core query state: the pool holds a fraction of the tree, with
-  // frontier readahead on (the uring backend's batched path).
+  // Out-of-core query state: the pool holds a fraction of the tree and
+  // reads ahead where the device says it pays.
   size_t capacity = std::max<size_t>(
       4, static_cast<size_t>(pool_frac * static_cast<double>(ts.num_nodes)));
   auto queries = workload::MakeSquareQueries(tree.Mbr(), 0.01, num_queries,
                                              seed + 17);
   {
     BufferPool pool(dev.get(), capacity);
-    pool.set_readahead(true);
     dev->ResetStats();
     Timer timer;
     for (const Rect2& q : queries) {
@@ -667,7 +644,6 @@ ScalePoint RunScalePoint(const std::string& device_kind,
   Rng rng(seed + 31);
   {
     BufferPool pool(dev.get(), capacity);
-    pool.set_readahead(true);
     uint64_t digest = 1469598103934665603ull;
     Timer timer;
     for (size_t i = 0; i < num_knn; ++i) {
@@ -695,12 +671,7 @@ ScalePoint RunScalePoint(const std::string& device_kind,
 
 std::string JsonForScaleLeg(const ScaleLeg& leg) {
   char buf[640];
-  std::string json = "  {\n";
-  json += "    \"device\": \"" + leg.device + "\",\n";
-  json += std::string("    \"ring_active\": ") +
-          (leg.ring_active ? "true" : "false") + ",\n";
-  json += std::string("    \"direct_io\": ") +
-          (leg.direct_io ? "true" : "false") + ",\n";
+  std::string json = JsonForFacts(leg.facts);
   json += "    \"points\": [\n";
   for (size_t i = 0; i < leg.points.size(); ++i) {
     const ScalePoint& pt = leg.points[i];
@@ -743,8 +714,8 @@ int RunScalePhase(const std::vector<size_t>& records, const std::string& path,
   std::printf("=== outofcore_sweep --records: %zu sizes, file+uring, "
               "streamed build + window + kNN ===\n", records.size());
 
-  ScaleLeg file_leg{"file", false, false, {}};
-  ScaleLeg uring_leg{"uring", false, false, {}};
+  ScaleLeg file_leg;
+  ScaleLeg uring_leg;
   bool ok = true;
   std::printf("%12s %7s %10s %12s %10s %12s %10s %6s\n", "records", "dev",
               "build s", "build I/O", "window s", "demand reads", "knn s",
@@ -757,18 +728,22 @@ int RunScalePhase(const std::vector<size_t>& records, const std::string& path,
         "uring", path.empty() ? "" : path + ".uring", direct_io, n, seed,
         num_queries, num_knn, k, pool_frac, &uring_leg);
     // The §3.3 invariant at scale: which blocks the build writes and the
-    // traversals demand is a property of the algorithm, not the backend.
+    // traversals visit is a property of the algorithm, not the backend.
+    // How the window reads split into demand and prefetch follows the
+    // pool's readahead choice, so it must agree only when the choices do.
     bool same = fp.build_io == up.build_io &&
                 fp.build_writes == up.build_writes &&
                 fp.tree_nodes == up.tree_nodes &&
                 fp.tree_leaves == up.tree_leaves &&
                 fp.window_leaves == up.window_leaves &&
                 fp.window_results == up.window_results &&
-                fp.window_demand_reads == up.window_demand_reads &&
-                fp.window_prefetch_reads == up.window_prefetch_reads &&
                 fp.knn_leaves == up.knn_leaves &&
                 fp.knn_results == up.knn_results &&
                 fp.knn_digest == up.knn_digest;
+    if (file_leg.facts.readahead == uring_leg.facts.readahead) {
+      same = same && fp.window_demand_reads == up.window_demand_reads &&
+             fp.window_prefetch_reads == up.window_prefetch_reads;
+    }
     if (!same) {
       std::fprintf(stderr,
                    "!! n=%zu: file and uring disagree on demand counters\n",
@@ -793,21 +768,7 @@ int RunScalePhase(const std::vector<size_t>& records, const std::string& path,
   json += "  \"k\": " + std::to_string(k) + ",\n";
   json += "  \"legs\": [\n" + JsonForScaleLeg(file_leg) + ",\n" +
           JsonForScaleLeg(uring_leg) + "\n  ],\n";
-  json += std::string("  \"deterministic\": ") + (ok ? "true" : "false") +
-          "\n}\n";
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "CROSS-DEVICE IDENTITY CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+  return WriteBenchJson(json, ok, out_path, "CROSS-DEVICE IDENTITY");
 }
 
 }  // namespace
@@ -915,6 +876,7 @@ int main(int argc, char** argv) {
 
   std::vector<SweepResult> sweeps;
   sweeps.push_back(std::move(primary));
+  std::string speedup_json;
 
   if (verify_cross) {
     std::string other = device_kind == "file" ? "uring" : "file";
@@ -922,21 +884,40 @@ int main(int argc, char** argv) {
     SweepResult secondary =
         RunSweep(other, "", direct_io, data, queries, budgets, repeats);
     ok = CheckUniform(secondary) && ok;
-    for (size_t i = 0; i < secondary.points.size(); ++i) {
-      const SweepPoint& a = sweeps[0].points[i];
-      const SweepPoint& b = secondary.points[i];
-      if (a.leaves != b.leaves || a.results != b.results ||
-          a.demand_reads != b.demand_reads ||
-          a.prefetch_reads != b.prefetch_reads) {
-        std::fprintf(stderr,
-                     "!! cross-device mismatch at budget %.4f readahead=%d\n",
-                     a.budget_frac, a.readahead ? 1 : 0);
+    // Transfer counts follow the readahead choice: two devices that chose
+    // alike must issue identical reads, two that chose differently need
+    // not (each leg is still exact-gated against its own baseline).
+    const bool same_choice =
+        sweeps[0].facts.readahead == secondary.facts.readahead;
+    const SweepResult& file = other == "file" ? secondary : sweeps[0];
+    const SweepResult& uring = other == "file" ? sweeps[0] : secondary;
+    speedup_json = "  \"speedup_readahead\": {";
+    for (size_t i = 0; i < budgets.size(); ++i) {
+      const SweepPoint& a = file.points[i];
+      const SweepPoint& b = uring.points[i];
+      if (a.leaves != b.leaves || a.internal != b.internal ||
+          a.results != b.results ||
+          (same_choice && (a.demand_reads != b.demand_reads ||
+                           a.prefetch_reads != b.prefetch_reads))) {
+        std::fprintf(stderr, "!! cross-device mismatch at budget %.4f\n",
+                     a.budget_frac);
         ok = false;
       }
+      // Wall-clock ratio of two same-machine runs: the only timing number
+      // stable enough to gate on (machine speed cancels).
+      double speedup = b.seconds > 0 ? a.seconds / b.seconds : 1.0;
+      std::printf("budget %.4f: file %.3fs / uring %.3fs = %.2fx\n",
+                  budgets[i], a.seconds, b.seconds, speedup);
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%s\"%.4f\": %.3f", i == 0 ? "" : ", ",
+                    budgets[i], speedup);
+      speedup_json += buf;
     }
+    speedup_json += "},\n";
     if (ok) {
       std::printf("cross-device check: file and uring agree on every "
-                  "leaf I/O, result and transfer count\n");
+                  "leaf I/O and result%s\n",
+                  same_choice ? " and transfer count" : "");
     }
     sweeps.push_back(std::move(secondary));
   }
@@ -946,24 +927,10 @@ int main(int argc, char** argv) {
   json += "  \"queries\": " + std::to_string(num_queries) + ",\n";
   json += "  \"sweeps\": [\n";
   for (size_t i = 0; i < sweeps.size(); ++i) {
-    json += JsonForSweep(sweeps[i], budgets);
+    json += JsonForSweep(sweeps[i]);
     json += i + 1 < sweeps.size() ? ",\n" : "\n";
   }
   json += "  ],\n";
-  json += std::string("  \"deterministic\": ") + (ok ? "true" : "false") +
-          "\n}\n";
-
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "DETERMINISM CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+  json += speedup_json;
+  return WriteBenchJson(json, ok, out_path, "DETERMINISM");
 }

@@ -201,14 +201,12 @@ class BlockDevice {
   virtual Status ReadBatch(BlockReadRequest* reqs, size_t n,
                            ReadKind kind = ReadKind::kDemand) const;
 
-  /// \brief Advisory: the caller expects to read these pages soon.  Never
-  /// transfers into caller memory, never touches the counters, may do
-  /// nothing (the default).  The file backend forwards the hint to the
-  /// kernel (posix_fadvise WILLNEED) so the page cache can read ahead.
-  virtual void PrefetchHint(const PageId* pages, size_t n) const {
-    (void)pages;
-    (void)n;
-  }
+  /// \brief True iff batching a traversal's frontier into one ReadBatch()
+  /// is faster than paying its misses one at a time.  A BufferPool over
+  /// this device reads ahead exactly when this holds (docs/IO_MODEL.md).
+  /// Fixed once the device is open.  False by default: with every block a
+  /// memcpy or a page-cache hit, a batch only adds work.
+  virtual bool ReadaheadPays() const { return false; }
 
   /// Number of blocks currently allocated (live).
   virtual size_t num_allocated() const = 0;
@@ -443,7 +441,7 @@ class BlockDevice {
 /// geometrically sized "bricks" published through atomic pointers, so
 /// Read()/Write() never take a lock and never observe a moving table;
 /// Allocate()/Free() serialise on a mutex.
-class MemoryBlockDevice final : public BlockDevice {
+class MemoryBlockDevice : public BlockDevice {
  public:
   explicit MemoryBlockDevice(size_t block_size = kDefaultBlockSize);
   ~MemoryBlockDevice() override;

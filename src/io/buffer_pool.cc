@@ -26,7 +26,9 @@ void PageGuard::Release() {
 
 BufferPool::BufferPool(BlockDevice* device, size_t capacity,
                        size_t num_shards)
-    : device_(device), capacity_(capacity) {
+    : device_(device),
+      capacity_(capacity),
+      readahead_(device != nullptr && device->ReadaheadPays()) {
   PRTREE_CHECK(device_ != nullptr);
   if (num_shards == 0) num_shards = kDefaultShards;
   num_shards_ = std::clamp<size_t>(num_shards, 1, std::max<size_t>(capacity, 1));
@@ -143,9 +145,7 @@ size_t BufferPool::Prefetch(std::span<const PageId> pages) {
   // Plan under each shard's lock: pages not already cached, at most what
   // the shard can actually hold right now (capacity minus pinned frames —
   // a transfer for a page with provably nowhere to go is pure waste),
-  // remembering the epoch for the insert-time re-check.  The overflow is
-  // not read but still hinted to the device, so the kernel page cache can
-  // read ahead on its own.
+  // remembering the epoch for the insert-time re-check.
   struct ShardPlan {
     size_t shard = 0;
     uint64_t epoch = 0;
@@ -154,7 +154,6 @@ size_t BufferPool::Prefetch(std::span<const PageId> pages) {
   std::vector<BlockReadRequest> reqs;
   std::vector<std::unique_ptr<std::byte[]>> bufs;
   std::vector<ShardPlan> plans;
-  std::vector<PageId> hint_only;
   for (size_t s = 0; s < num_shards_; ++s) {
     if (by_shard[s].empty()) continue;
     PoolShard& shard = shards_[s];
@@ -165,11 +164,8 @@ size_t BufferPool::Prefetch(std::span<const PageId> pages) {
       sp.epoch = shard.epoch;
       size_t stageable = shard.capacity - shard.pinned_frames;
       for (PageId p : by_shard[s]) {
+        if (sp.req_index.size() >= stageable) break;
         if (shard.map.count(p) != 0) continue;  // already cached
-        if (sp.req_index.size() >= stageable) {
-          hint_only.push_back(p);
-          continue;
-        }
         sp.req_index.push_back(reqs.size());
         bufs.push_back(std::make_unique<std::byte[]>(block));
         BlockReadRequest req;
@@ -179,9 +175,6 @@ size_t BufferPool::Prefetch(std::span<const PageId> pages) {
       }
     }
     if (!sp.req_index.empty()) plans.push_back(std::move(sp));
-  }
-  if (!hint_only.empty()) {
-    device_->PrefetchHint(hint_only.data(), hint_only.size());
   }
   if (reqs.empty()) return 0;
 

@@ -23,7 +23,6 @@
 #ifndef PRTREE_IO_BUFFER_POOL_H_
 #define PRTREE_IO_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -200,29 +199,23 @@ class BufferPool {
   /// *unpinned* LRU frames, skips pages already cached, stages at most
   /// what a shard can actually hold (its capacity minus its pinned
   /// frames — no transfer is issued for a page that provably cannot be
-  /// staged; the overflow is forwarded to BlockDevice::PrefetchHint so
-  /// the kernel may still read ahead), and a capacity-0 pool stages
-  /// nothing.  Racing Pin()s are safe (worst case a page is read twice);
-  /// racing Invalidate()/Clear() wins — the stale staged frame is
-  /// dropped (see PoolShard::epoch).  Read failures just leave pages
-  /// unstaged: a later Pin reports them, so prefetch never turns into an
-  /// error path.
+  /// staged), and a capacity-0 pool stages nothing.  Racing Pin()s are
+  /// safe (worst case a page is read twice); racing Invalidate()/Clear()
+  /// wins — the stale staged frame is dropped (see PoolShard::epoch).
+  /// Read failures just leave pages unstaged: a later Pin reports them, so
+  /// prefetch never turns into an error path.
   ///
   /// Accounting: the device reads are charged to stats().prefetch_reads,
   /// not stats().reads; staged/useful counts are exposed below
   /// (docs/IO_MODEL.md).
   size_t Prefetch(std::span<const PageId> pages);
 
-  /// Readahead switch for the traversal layer: when enabled, Query/kNN
-  /// call Prefetch() on each frontier of enqueued children (one level
-  /// ahead).  Off by default — the §3.3 measurement protocol counts demand
-  /// misses, and tests rely on the exact miss sequence.
-  void set_readahead(bool on) {
-    readahead_.store(on, std::memory_order_relaxed);
-  }
-  bool readahead_enabled() const {
-    return readahead_.load(std::memory_order_relaxed);
-  }
+  /// Whether Query/kNN call Prefetch() on each frontier of enqueued
+  /// children (one level ahead).  The device decides, once, at pool
+  /// construction: BlockDevice::ReadaheadPays().  Readahead moves only
+  /// *when* blocks are read — the traversal, its results and its leaf I/Os
+  /// are the same either way (docs/IO_MODEL.md).
+  bool readahead_enabled() const { return readahead_; }
 
   /// Drops `page` from the cache (after an in-place update).  If the page
   /// is currently pinned its frame is detached — existing guards keep
@@ -261,7 +254,7 @@ class BufferPool {
   BlockDevice* device_;
   size_t capacity_;
   size_t num_shards_;
-  std::atomic<bool> readahead_{false};
+  const bool readahead_;
   std::unique_ptr<internal::PoolShard[]> shards_;
 };
 

@@ -415,22 +415,6 @@ size_t FileBlockDevice::ScreenBatchLiveness(BlockWriteRequest* reqs,
   return live;
 }
 
-void FileBlockDevice::PrefetchHint(const PageId* pages, size_t n) const {
-#ifdef POSIX_FADV_WILLNEED
-  if (direct_io_) return;  // no page cache to warm
-  std::shared_lock lock(mu_);
-  for (size_t i = 0; i < n; ++i) {
-    if (pages[i] >= num_pages_ || live_[pages[i]] == 0) continue;
-    // Purely advisory; a failure (e.g. an fs without fadvise) is ignored.
-    ::posix_fadvise(fd_, static_cast<off_t>(PageOffset(pages[i])),
-                    static_cast<off_t>(block_size()), POSIX_FADV_WILLNEED);
-  }
-#else
-  (void)pages;
-  (void)n;
-#endif
-}
-
 size_t FileBlockDevice::num_allocated() const {
   std::shared_lock lock(mu_);
   return allocated_;

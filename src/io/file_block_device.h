@@ -119,11 +119,6 @@ class FileBlockDevice : public BlockDevice {
   size_t num_pages() const override;
   bool IsAllocated(PageId page) const override;
 
-  /// Forwards the readahead hint to the kernel page cache
-  /// (posix_fadvise WILLNEED).  A no-op under O_DIRECT, where there is no
-  /// page cache to warm.
-  void PrefetchHint(const PageId* pages, size_t n) const override;
-
   /// Writes the superblock and fsync()s the file.  After an OK Sync the
   /// device state (pages, free list, counters, user metadata) survives a
   /// crash and is recovered by Open.

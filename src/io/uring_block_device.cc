@@ -104,42 +104,28 @@ Status UringBlockDevice::ReadBatch(BlockReadRequest* reqs, size_t n,
   }
 
   if (!pending.empty()) {
-    // Registered mode (and O_DIRECT) bounces through the arena, chunked at
-    // its slot count, so every submission takes the FIXED opcodes; the
-    // unregistered buffered path reads straight into caller memory.
-    const bool via_arena = registered_ || direct_io();
-    const size_t chunk =
-        via_arena ? std::min(pending.size(), arena_slots_) : pending.size();
+    // Reads bounce through the arena, as writes do: its slots are what is
+    // registered (FIXED opcodes) and they satisfy O_DIRECT alignment, the
+    // mode in which the buffer pool's readahead batches arrive.
+    const size_t chunk = std::min(pending.size(), arena_slots_);
     std::vector<UringIoOp> ops(chunk);
     for (size_t base = 0; base < pending.size(); base += chunk) {
       const size_t m = std::min(chunk, pending.size() - base);
-      // The arena is shared between concurrent batches, so arena chunks
-      // hold the ring mutex across the whole fill/submit/copy-out; the
-      // direct-into-caller path only needs it around the submission.
-      std::unique_lock<std::mutex> arena_lock;
-      if (via_arena) arena_lock = std::unique_lock<std::mutex>(ring_mu_);
+      // Arena chunks hold the ring mutex across fill, submit and copy-out
+      // (the arena is shared with concurrent batches).
+      std::lock_guard<std::mutex> lock(ring_mu_);
       for (size_t k = 0; k < m; ++k) {
-        BlockReadRequest& req = reqs[pending[base + k]];
-        ops[k].offset = PageOffset(req.page);
-        ops[k].buf = via_arena ? arena_.get() + k * block : req.buf;
+        ops[k].offset = PageOffset(reqs[pending[base + k]].page);
+        ops[k].buf = arena_.get() + k * block;
         ops[k].len = static_cast<uint32_t>(block);
       }
-
-      Status ring_status;
-      if (via_arena) {
-        ring_status = ring_->SubmitAndWaitReads(ops.data(), m);
-      } else {
-        std::lock_guard<std::mutex> lock(ring_mu_);
-        ring_status = ring_->SubmitAndWaitReads(ops.data(), m);
-      }
+      Status ring_status = ring_->SubmitAndWaitReads(ops.data(), m);
 
       for (size_t k = 0; k < m; ++k) {
         BlockReadRequest& req = reqs[pending[base + k]];
         if (ring_status.ok() &&
             ops[k].result == static_cast<int32_t>(block)) {
-          if (ops[k].buf != req.buf) {
-            std::memcpy(req.buf, ops[k].buf, block);
-          }
+          std::memcpy(req.buf, ops[k].buf, block);
           req.status = Status::OK();
         } else {
           // Per-request retry through the scalar path: a short read, an

@@ -100,6 +100,11 @@ class UringBlockDevice final : public FileBlockDevice {
   /// True iff batches go through an io_uring (false: scalar fallback).
   bool ring_active() const { return ring_ != nullptr; }
 
+  /// A frontier batch is one ring submission with every read in flight.
+  /// That beats one miss at a time only when each miss pays device latency
+  /// (O_DIRECT); buffered misses are page-cache memcpys.  Settled by Open().
+  bool ReadaheadPays() const override { return ring_active() && direct_io(); }
+
   /// True iff the ring's fd and arena are registered (FIXED opcodes).
   bool registered() const { return registered_; }
 

@@ -74,7 +74,8 @@ class JournaledTree {
     SplitPolicy policy = SplitPolicy::kQuadratic;
     double min_fill = 0.4;
 
-    /// Run ValidateTree on the recovered tree inside Open().
+    /// Run ValidateTree on the recovered tree inside Open().  A
+    /// journal-less index is always validated (by AttachTree).
     bool validate_on_open = true;
 
     /// Checkpoint in the destructor so a clean close leaves an empty
@@ -163,9 +164,6 @@ class JournaledTree {
       PRTREE_RETURN_NOT_OK(AttachTree(dev, &*t->tree_));
       t->tree_->Publish();
       PRTREE_RETURN_NOT_OK(t->journal_->Checkpoint(t->MetaBuilderFn()));
-      if (o.validate_on_open) {
-        PRTREE_RETURN_NOT_OK(ValidateTree(*t->tree_));
-      }
       *out = std::move(t);
       return Status::OK();
     }

@@ -57,7 +57,7 @@ std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree, PageId root,
 /// visit counters; `pool` (optional) caches node reads.  Like window
 /// queries, safe to run from many threads over one shared tree and pool.
 ///
-/// With pool readahead enabled (BufferPool::set_readahead) each internal
+/// When the pool reads ahead (BufferPool::readahead_enabled) each internal
 /// expansion prefetches the children it pushed onto the frontier in one
 /// batch.  Best-first order makes some of those speculative — a distant
 /// child may never be popped — which is the access-adaptive wager: the

@@ -13,8 +13,9 @@
 //    on a FileBlockDevice, the device file IS the index.  PersistTree
 //    stores the tree's root metadata in the device's superblock and
 //    Sync()s; AttachTree reads it back after reopening the file, with no
-//    page copying or remapping — the crash-reopen path.  This is how the
-//    CLI and the examples open file-backed indexes.
+//    page copying or remapping — the crash-reopen path.  It validates
+//    every reachable page before attaching (one demand read per node).
+//    This is how the CLI and the examples open file-backed indexes.
 
 #ifndef PRTREE_RTREE_PERSIST_H_
 #define PRTREE_RTREE_PERSIST_H_
@@ -28,6 +29,7 @@
 #include "io/file_block_device.h"
 #include "io/journal.h"
 #include "rtree/rtree.h"
+#include "rtree/validate.h"
 #include "util/status.h"
 
 namespace prtree {
@@ -314,16 +316,14 @@ Status AttachTree(FileBlockDevice* device, RTree<D>* tree) {
         "tree metadata is stale (the device was mutated after the last "
         "PersistTree) — re-run PersistTree before closing");
   }
-  // And the recorded root must be a live, formatted node.
-  std::vector<std::byte> buf(tree->block_size());
-  Status st = device->Read(meta.root, buf.data());
+  // And every page the recorded root reaches must be a well-formed node
+  // (ValidateTree runs CheckFormat on each): queries trust node counts,
+  // so a hostile page must be refused here, before the root is installed.
+  RTree<D> candidate(device);
+  candidate.SetRoot(meta.root, meta.height, meta.record_count);
+  Status st = ValidateTree(candidate);
   if (!st.ok()) {
-    return Status::Corruption("persisted root page is not readable: " +
-                              st.message());
-  }
-  st = ConstNodeView<D>(buf.data(), tree->block_size()).CheckFormat();
-  if (!st.ok()) {
-    return Status::Corruption("persisted root page: " + st.message());
+    return Status::Corruption("persisted tree: " + st.message());
   }
   tree->SetRoot(meta.root, meta.height, meta.record_count);
   return Status::OK();

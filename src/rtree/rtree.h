@@ -153,14 +153,14 @@ class RTree {
   /// otherwise nodes are read from the device.  Safe to call from many
   /// threads at once over one shared pool.
   ///
-  /// Frontier readahead: when the pool has readahead enabled
-  /// (BufferPool::set_readahead), every internal expansion prefetches the
-  /// children it just enqueued — one level ahead of the traversal, so by
-  /// the time a child is popped (LIFO: the new children come off first)
-  /// its block is already staged, and the whole frontier was read as one
-  /// batch (one io_uring submission on UringBlockDevice).  Readahead
-  /// changes when blocks are read, never what is visited: QueryStats are
-  /// byte-identical with it on or off.
+  /// Frontier readahead: when the pool reads ahead (its device says
+  /// batching pays, BufferPool::readahead_enabled), every internal
+  /// expansion prefetches the children it just enqueued — one level ahead
+  /// of the traversal, so by the time a child is popped (LIFO: the new
+  /// children come off first) its block is already staged, and the whole
+  /// frontier was read as one batch (one io_uring submission on
+  /// UringBlockDevice).  Readahead changes when blocks are read, never
+  /// what is visited: QueryStats are byte-identical with it on or off.
   template <typename Emit>
   QueryStats Query(const RectT& window, Emit emit,
                    BufferPool* pool = nullptr) const {

@@ -301,13 +301,12 @@ TEST(ConcurrentPrefetchTest, PrefetchRacesPinInvalidateAndEviction) {
 // prefetch path may only change which reads are speculative, never the
 // answers or the traversal counters.
 TEST(ConcurrentPrefetchTest, ReadaheadQueriesStayExactUnderConcurrency) {
-  MemoryBlockDevice dev(512);
+  testing_util::ReadaheadMemoryDevice dev(512);
   auto data = RandomRects<2>(20000, 95);
   RTree<2> tree(&dev);
   AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
   TreeStats ts = tree.ComputeStats();
   BufferPool pool(&dev, ts.num_nodes / 2 + 8);
-  pool.set_readahead(true);
 
   Rng rng(23);
   const int kQueries = 32;

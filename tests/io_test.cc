@@ -240,8 +240,7 @@ TEST(BufferPoolTest, PrefetchRespectsCapacityAndPins) {
 
   // Both frames pinned: nothing is evictable, nothing can be staged — and
   // no device transfer may be issued for pages that provably have nowhere
-  // to go (the kernel still gets an advisory PrefetchHint, which is free
-  // on the memory backend).
+  // to go.
   PageGuard g0, g1;
   ASSERT_TRUE(pool.Pin(pages[0], &g0).ok());
   ASSERT_TRUE(pool.Pin(pages[1], &g1).ok());

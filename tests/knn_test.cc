@@ -119,14 +119,13 @@ TEST(KnnTest, WorksThroughBufferPool) {
 }
 
 TEST(KnnTest, ReadaheadPoolGivesIdenticalNeighborsAndStats) {
-  MemoryBlockDevice dev(512);
+  testing_util::ReadaheadMemoryDevice dev(512);
   auto data = RandomRects<2>(5000, 21);
   RTree<2> tree(&dev);
   AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
   // Small pool, readahead on: best-first expansion prefetches each pushed
   // frontier; some of that is speculative, none of it may change answers.
   BufferPool pool(&dev, 64);
-  pool.set_readahead(true);
   QueryStats plain_stats, ahead_stats;
   auto plain = KnnSearch<2>(tree, {0.6, 0.2}, 25, &plain_stats);
   auto ahead = KnnSearch<2>(tree, {0.6, 0.2}, 25, &ahead_stats, &pool);

@@ -322,6 +322,41 @@ TEST_F(PersistTest, AttachRejectsStaleMetadataAfterUpdates) {
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
 }
 
+// AttachTree checks every reachable page, not just the root: a child page
+// whose count exceeds the node capacity would send a query's scan past the
+// block, so attaching must fail and leave the tree empty.
+TEST_F(PersistTest, AttachRejectsChildCountAboveCapacity) {
+  {
+    FileDeviceOptions opts;
+    opts.truncate = true;
+    std::unique_ptr<FileBlockDevice> dev;
+    ASSERT_TRUE(FileBlockDevice::Open(path_, opts, &dev).ok());
+    RTree<2> tree(dev.get());
+    AbortIfError(BulkLoadPrTree<2>(WorkEnv{dev.get(), 1u << 20},
+                                   RandomRects<2>(2000, 59), &tree));
+    ASSERT_GT(tree.height(), 0);
+    ASSERT_TRUE(PersistTree(tree, dev.get()).ok());
+    // Overwrite in place: no allocation moves, so the metadata stays fresh.
+    std::vector<std::byte> block(dev->block_size());
+    ASSERT_TRUE(dev->Read(tree.root(), block.data()).ok());
+    const PageId child =
+        ConstNodeView<2>(block.data(), block.size()).GetId(0);
+    ASSERT_TRUE(dev->Read(child, block.data()).ok());
+    const uint16_t hostile_count = 60000;
+    std::memcpy(block.data() + 6, &hostile_count, sizeof(hostile_count));
+    ASSERT_TRUE(dev->Write(child, block.data()).ok());
+    ASSERT_TRUE(dev->Sync().ok());
+  }
+  std::unique_ptr<FileBlockDevice> dev;
+  ASSERT_TRUE(FileBlockDevice::Open(path_, FileDeviceOptions{}, &dev).ok());
+  RTree<2> tree(dev.get());
+  Status st = AttachTree(dev.get(), &tree);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("exceeds capacity"), std::string::npos)
+      << st.ToString();
+  EXPECT_TRUE(tree.empty());
+}
+
 // Snapshots are device-agnostic: a snapshot written from a memory device
 // restores onto a file device (and the restored file index then reopens
 // in place).

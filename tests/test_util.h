@@ -7,10 +7,20 @@
 #include <vector>
 
 #include "geom/rect.h"
+#include "io/block_device.h"
 #include "util/random.h"
 
 namespace prtree {
 namespace testing_util {
+
+/// A memory device that claims batched readahead pays, so a BufferPool
+/// over it prefetches every frontier: the readahead path, deterministic
+/// and without a kernel, for tests that assert it never changes answers.
+class ReadaheadMemoryDevice : public MemoryBlockDevice {
+ public:
+  using MemoryBlockDevice::MemoryBlockDevice;
+  bool ReadaheadPays() const override { return true; }
+};
 
 /// Uniform random rectangles in the unit square with sides up to max_side.
 template <int D>

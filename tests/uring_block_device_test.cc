@@ -44,10 +44,12 @@ class UringBlockDeviceTest : public ::testing::Test {
 
   std::unique_ptr<UringBlockDevice> Create(size_t block_size = 512,
                                            bool force_fallback = false,
-                                           unsigned ring_entries = 64) {
+                                           unsigned ring_entries = 64,
+                                           bool direct_io = false) {
     UringDeviceOptions opts;
     opts.file.block_size = block_size;
     opts.file.truncate = true;
+    opts.file.direct_io = direct_io;  // best effort; check dev->direct_io()
     opts.ring_entries = ring_entries;
     opts.force_fallback = force_fallback;
     std::unique_ptr<UringBlockDevice> dev;
@@ -259,12 +261,8 @@ TEST_F(UringBlockDeviceTest, SharesTheOnDiskFormatWithFileBlockDevice) {
 }
 
 TEST_F(UringBlockDeviceTest, DirectIoRequestStillReadsCorrectBytes) {
-  UringDeviceOptions opts;
-  opts.file.block_size = 512;
-  opts.file.truncate = true;
-  opts.file.direct_io = true;  // best effort; either outcome must work
-  std::unique_ptr<UringBlockDevice> dev;
-  AbortIfError(UringBlockDevice::Open(path_, opts, &dev));
+  // Either outcome of the O_DIRECT negotiation must work.
+  auto dev = Create(512, /*force_fallback=*/false, 64, /*direct_io=*/true);
   auto pages = FillPages(dev.get(), 6);
   std::vector<std::vector<std::byte>> bufs(6, std::vector<std::byte>(512));
   std::vector<BlockReadRequest> reqs(6);
@@ -278,44 +276,73 @@ TEST_F(UringBlockDeviceTest, DirectIoRequestStillReadsCorrectBytes) {
   }
 }
 
-// The acceptance-shaped end-to-end: a PR-tree on the uring device, queried
-// through a small pool with readahead — identical answers and visit
-// counters to the scalar path, with the prefetch traffic showing up only
-// in prefetch_reads.
+// The acceptance-shaped end-to-end: a PR-tree on a uring device opened
+// with O_DIRECT, queried through a small pool — identical answers and
+// visit counters to the pool-less path.  The pool reads ahead (charged to
+// prefetch_reads) iff the ring is up and O_DIRECT was negotiated.
 TEST_F(UringBlockDeviceTest, TreeQueriesWithReadaheadMatchScalar) {
-  auto dev = Create(/*block_size=*/512);
+  auto dev = Create(512, /*force_fallback=*/false, 64, /*direct_io=*/true);
   auto data = testing_util::RandomRects<2>(8000, 7);
   RTree<2> tree(dev.get());
   AbortIfError(BulkLoadPrTree<2>(WorkEnv{dev.get(), 4u << 20}, data, &tree));
   TreeStats ts = tree.ComputeStats();
 
   Rect2 window = MakeRect(0.2, 0.3, 0.5, 0.6);
-  BufferPool scalar_pool(dev.get(), ts.num_nodes / 8 + 4);
-  QueryStats scalar_stats;
-  auto scalar_ids = SortedIds(tree.QueryToVector(window, &scalar_pool));
-  scalar_stats = tree.Query(window, [](const Record2&) {}, &scalar_pool);
+  auto scalar_ids = SortedIds(tree.QueryToVector(window));
+  QueryStats scalar_stats = tree.Query(window, [](const Record2&) {});
 
-  BufferPool ahead_pool(dev.get(), ts.num_nodes / 8 + 4);
-  ahead_pool.set_readahead(true);
+  const bool pays = dev->ring_active() && dev->direct_io();
+  std::printf("readahead: %s\n", pays ? "on (io_uring + O_DIRECT)" : "off");
+  BufferPool pool(dev.get(), ts.num_nodes / 8 + 4);
   dev->ResetStats();
-  auto ahead_ids = SortedIds(tree.QueryToVector(window, &ahead_pool));
-  QueryStats ahead_stats =
-      tree.Query(window, [](const Record2&) {}, &ahead_pool);
+  auto pool_ids = SortedIds(tree.QueryToVector(window, &pool));
+  QueryStats pool_stats = tree.Query(window, [](const Record2&) {}, &pool);
   IoStats io = dev->stats();
 
-  EXPECT_EQ(ahead_ids, scalar_ids);
-  EXPECT_EQ(ahead_stats.nodes_visited, scalar_stats.nodes_visited);
-  EXPECT_EQ(ahead_stats.leaves_visited, scalar_stats.leaves_visited);
-  EXPECT_EQ(ahead_stats.results, scalar_stats.results);
-  EXPECT_GT(io.prefetch_reads, 0u);  // the frontier was actually prefetched
-  EXPECT_GT(ahead_pool.prefetch_useful(), 0u);
+  EXPECT_EQ(pool_ids, scalar_ids);
+  EXPECT_EQ(pool_stats.nodes_visited, scalar_stats.nodes_visited);
+  EXPECT_EQ(pool_stats.leaves_visited, scalar_stats.leaves_visited);
+  EXPECT_EQ(pool_stats.results, scalar_stats.results);
+  // The frontier was prefetched iff readahead pays here.
+  EXPECT_EQ(io.prefetch_reads > 0, pays);
+  EXPECT_EQ(pool.prefetch_useful() > 0, pays);
 
-  // kNN through the same readahead pool agrees with the pool-less search.
+  // kNN through the same pool agrees with the pool-less search.
   auto plain = KnnSearch<2>(tree, {0.4, 0.4}, 5);
-  auto pooled = KnnSearch<2>(tree, {0.4, 0.4}, 5, nullptr, &ahead_pool);
+  auto pooled = KnnSearch<2>(tree, {0.4, 0.4}, 5, nullptr, &pool);
   ASSERT_EQ(pooled.size(), plain.size());
   for (size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(pooled[i].record.id, plain[i].record.id);
+  }
+}
+
+// The selection rule: a pool reads ahead only over an active io_uring with
+// O_DIRECT in effect.  Every other device — memory, the pread backends,
+// buffered uring, a forced fallback — pays its misses one at a time.
+TEST_F(UringBlockDeviceTest, PoolReadsAheadOnlyOnRingWithDirectIo) {
+  MemoryBlockDevice memory(512);
+  EXPECT_FALSE(BufferPool(&memory, 8).readahead_enabled());
+
+  for (bool direct : {false, true}) {
+    FileDeviceOptions fopts;
+    fopts.block_size = 512;
+    fopts.truncate = true;
+    fopts.direct_io = direct;
+    std::unique_ptr<FileBlockDevice> file;
+    AbortIfError(FileBlockDevice::Open(path_, fopts, &file));
+    EXPECT_FALSE(BufferPool(file.get(), 8).readahead_enabled())
+        << "file, direct_io=" << direct;
+    file.reset();
+
+    for (bool fallback : {false, true}) {
+      auto uring = Create(512, fallback, 64, direct);
+      const bool expect = !fallback && direct && uring->ring_active() &&
+                          uring->direct_io();
+      EXPECT_EQ(BufferPool(uring.get(), 8).readahead_enabled(), expect)
+          << "uring, direct_io=" << direct << ", force_fallback=" << fallback
+          << ", ring_active=" << uring->ring_active()
+          << ", negotiated direct_io=" << uring->direct_io();
+    }
   }
 }
 
