@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <queue>
@@ -106,44 +107,41 @@ class GridCounts {
     return total;
   }
 
+  /// Raw cell counts, row-major (dimension 0 outermost).
+  const std::vector<uint32_t>& cells() const { return counts_; }
+
   /// Splits slab `j` of dimension `d` in two.  Both new slabs start at
   /// zero; the caller re-adds the slab's records via Increment.
+  ///
+  /// Row-major storage makes this two block copies per outer index: the
+  /// slabs before j, then the slabs after it, leaving the two new slabs'
+  /// cells zero between them.
   void SubdivideSlab(int d, int j) {
-    std::array<int, K> new_sizes = sizes_;
-    new_sizes[d] += 1;
-    size_t total = 1;
-    for (int c = 0; c < K; ++c) total *= static_cast<size_t>(new_sizes[c]);
-    std::vector<uint32_t> fresh(total, 0);
-    // Copy every old cell to its new position; the split slab's two halves
-    // stay zero.
-    std::array<int, K> idx{};
-    while (true) {
-      if (idx[d] != j) {
-        std::array<int, K> nidx = idx;
-        if (idx[d] > j) nidx[d] += 1;
-        fresh[FlattenWith(nidx, new_sizes)] = counts_[Flatten(idx)];
-      }
-      int c = 0;
-      for (; c < K; ++c) {
-        if (++idx[c] < sizes_[c]) break;
-        idx[c] = 0;
-      }
-      if (c == K) break;
+    size_t outer = 1, inner = 1;
+    for (int c = 0; c < d; ++c) outer *= static_cast<size_t>(sizes_[c]);
+    for (int c = d + 1; c < K; ++c) inner *= static_cast<size_t>(sizes_[c]);
+    const size_t slabs = static_cast<size_t>(sizes_[d]);
+    const size_t before = static_cast<size_t>(j) * inner;
+    const size_t after = (slabs - static_cast<size_t>(j) - 1) * inner;
+    std::vector<uint32_t> fresh(outer * (slabs + 1) * inner, 0);
+    const uint32_t* src = counts_.data();
+    uint32_t* dst = fresh.data();
+    for (size_t o = 0; o < outer; ++o) {
+      std::copy_n(src, before, dst);
+      std::copy_n(src + before + inner, after, dst + before + 2 * inner);
+      src += slabs * inner;
+      dst += (slabs + 1) * inner;
     }
-    sizes_ = new_sizes;
+    sizes_[d] += 1;
     counts_ = std::move(fresh);
   }
 
  private:
   size_t Flatten(const std::array<int, K>& idx) const {
-    return FlattenWith(idx, sizes_);
-  }
-  static size_t FlattenWith(const std::array<int, K>& idx,
-                            const std::array<int, K>& sizes) {
     size_t flat = 0;
     for (int d = 0; d < K; ++d) {
-      PRTREE_DCHECK(idx[d] >= 0 && idx[d] < sizes[d]);
-      flat = flat * static_cast<size_t>(sizes[d]) +
+      PRTREE_DCHECK(idx[d] >= 0 && idx[d] < sizes_[d]);
+      flat = flat * static_cast<size_t>(sizes_[d]) +
              static_cast<size_t>(idx[d]);
     }
     return flat;
@@ -151,6 +149,35 @@ class GridCounts {
 
   std::array<int, K> sizes_;
   std::vector<uint32_t> counts_;
+};
+
+/// The ids of the records a grid phase captured in its priority leaves.
+/// Most records the distribute scans test were not captured, so a 64-kbit
+/// hashed bitmap answers them with one L1 load; only a set bit falls
+/// through to the exact set.
+class CapturedSet {
+ public:
+  void Insert(DataId id) {
+    const uint32_t s = Slot(id);
+    bits_[s / 64] |= uint64_t{1} << (s % 64);
+    exact_.insert(id);
+  }
+
+  bool Contains(DataId id) const {
+    const uint32_t s = Slot(id);
+    return ((bits_[s / 64] >> (s % 64)) & 1) != 0 && exact_.contains(id);
+  }
+
+ private:
+  static constexpr int kSlotBits = 16;
+  // Fibonacci hashing: the top bits of id * 2^64/phi.
+  static uint32_t Slot(DataId id) {
+    return static_cast<uint32_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >>
+                                 (64 - kSlotBits));
+  }
+
+  std::array<uint64_t, (size_t{1} << kSlotBits) / 64> bits_{};
+  std::unordered_set<DataId> exact_;
 };
 
 /// Slab index of record `r` in dimension `c`: the number of thresholds at
@@ -319,8 +346,11 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
         --z;
       }
     }
-    // The cap keeps the O(z^(2D+1)) in-memory grid arithmetic negligible
-    // next to the O(n/B) block transfers it saves.
+    // The cap bounds the in-memory grid work: a phase makes up to z slab
+    // splits, and each rewrites all of the grid's >= z^(2D) cells, so the
+    // phase moves O(z^(2D+1)) cells.  That is not negligible: at z = 18,
+    // D = 2 a per-cell rewrite cost more than a whole scan of the phase's
+    // records, which is why SubdivideSlab moves cells by block copies.
     z = std::clamp<size_t>(z, 2, 32);
 
     // Initial slab thresholds at ranks j*n/z, and slab start ranks.
@@ -568,13 +598,13 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
     }
 
     // Emit the priority leaves and remember who was captured.
-    std::unordered_set<DataId> captured;
+    grid_internal::CapturedSet captured;
     size_t captured_count = 0;
     for (auto& per_node : prio_leaves) {
       for (int c = 0; c < K; ++c) {
         auto& h = per_node[c].heap;
         if (h.empty()) continue;
-        for (const Rec& rec : h) captured.insert(rec.id);
+        for (const Rec& rec : h) captured.Insert(rec.id);
         captured_count += h.size();
         emit(h);
         h.clear();
@@ -593,7 +623,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
       typename Stream<Rec>::Reader reader(&sub.lists[c]);
       while (!reader.Done()) {
         Rec rec = reader.Next();
-        if (captured.contains(rec.id)) continue;
+        if (captured.Contains(rec.id)) continue;
         int node = 0;
         int region = -1;
         while (true) {

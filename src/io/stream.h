@@ -167,60 +167,67 @@ class Stream {
 
   /// \brief Sequential reader over a record range of a stream.
   ///
-  /// Holds one block in memory at a time; advancing across a block boundary
-  /// costs one device read.
+  /// Holds one block in memory at a time and the decoded current record.
+  /// The first Peek() inside a block costs one device read; a repeated
+  /// Peek() before Next() costs a flag test, so merge comparators may call
+  /// it freely.
   class Reader {
    public:
     /// Reader over [first, first + count).
     Reader(Stream* stream, size_t first, size_t count)
         : stream_(stream),
-          pos_(first),
-          end_(first + count),
+          block_(first / stream->per_block_),
+          offset_(first % stream->per_block_),
+          remaining_(count),
           buf_(stream->device_->block_size()) {
       stream_->Flush();
-      PRTREE_CHECK(end_ <= stream_->size_);
+      PRTREE_CHECK(first + count <= stream_->size_);
     }
 
     /// Reader over the whole stream.
     explicit Reader(Stream* stream) : Reader(stream, 0, stream->size()) {}
 
-    bool Done() const { return pos_ >= end_; }
+    bool Done() const { return remaining_ == 0; }
 
     /// Current record; requires !Done().
     const T& Peek() {
       PRTREE_DCHECK(!Done());
-      LoadBlockIfNeeded();
-      std::memcpy(&current_, buf_.data() + (pos_ % stream_->per_block_) *
-                                               sizeof(T),
-                  sizeof(T));
+      if (!decoded_) Decode();
       return current_;
     }
 
     /// Returns the current record and advances.
     T Next() {
       T v = Peek();
-      ++pos_;
+      decoded_ = false;
+      --remaining_;
+      if (++offset_ == stream_->per_block_) {
+        offset_ = 0;
+        ++block_;
+        loaded_ = false;
+      }
       return v;
     }
 
-    size_t position() const { return pos_; }
-
    private:
-    void LoadBlockIfNeeded() {
-      size_t block = pos_ / stream_->per_block_;
-      if (static_cast<ptrdiff_t>(block) != loaded_block_) {
+    void Decode() {
+      if (!loaded_) {
         AbortIfError(
-            stream_->device_->Read(stream_->pages_[block], buf_.data()));
-        loaded_block_ = static_cast<ptrdiff_t>(block);
+            stream_->device_->Read(stream_->pages_[block_], buf_.data()));
+        loaded_ = true;
       }
+      std::memcpy(&current_, buf_.data() + offset_ * sizeof(T), sizeof(T));
+      decoded_ = true;
     }
 
     Stream* stream_;
-    size_t pos_;
-    size_t end_;
+    size_t block_;      // block holding the current record
+    size_t offset_;     // the current record's index within block_
+    size_t remaining_;  // records left in the range, current included
     std::vector<std::byte> buf_;
-    ptrdiff_t loaded_block_ = -1;
-    T current_;
+    bool loaded_ = false;   // buf_ holds block_
+    bool decoded_ = false;  // current_ holds the current record
+    T current_{};
   };
 
  private:

@@ -155,6 +155,76 @@ TEST(GridBuilderTest, ThreeDimensionalGrid) {
   EXPECT_EQ(summary.seen.size(), data.size());
 }
 
+/// The per-cell slab split GridCounts::SubdivideSlab replaced: every old
+/// cell moves to its new flat position, the split slab's halves stay zero.
+template <int K>
+std::vector<uint32_t> ReferenceSubdivide(const std::vector<uint32_t>& cells,
+                                         const std::array<int, K>& sizes,
+                                         int d, int j) {
+  auto flatten = [](const std::array<int, K>& idx,
+                    const std::array<int, K>& sz) {
+    size_t flat = 0;
+    for (int c = 0; c < K; ++c) {
+      flat = flat * static_cast<size_t>(sz[c]) + static_cast<size_t>(idx[c]);
+    }
+    return flat;
+  };
+  std::array<int, K> new_sizes = sizes;
+  new_sizes[d] += 1;
+  size_t total = 1;
+  for (int c = 0; c < K; ++c) total *= static_cast<size_t>(new_sizes[c]);
+  std::vector<uint32_t> fresh(total, 0);
+  std::array<int, K> idx{};
+  while (true) {
+    if (idx[d] != j) {
+      std::array<int, K> nidx = idx;
+      if (idx[d] > j) nidx[d] += 1;
+      fresh[flatten(nidx, new_sizes)] = cells[flatten(idx, sizes)];
+    }
+    int c = 0;
+    for (; c < K; ++c) {
+      if (++idx[c] < sizes[c]) break;
+      idx[c] = 0;
+    }
+    if (c == K) break;
+  }
+  return fresh;
+}
+
+/// Applies SubdivideSlab at every (d, j) of a grid with distinct cell
+/// counts and checks each result against the per-cell reference.
+template <int K>
+void CheckEverySlabSplit(const std::array<int, K>& sizes) {
+  for (int d = 0; d < K; ++d) {
+    for (int j = 0; j < sizes[d]; ++j) {
+      grid_internal::GridCounts<K> counts(sizes);
+      // Cell f gets count f % 7 + 1 (non-zero, so a misplaced zero shows).
+      std::array<int, K> idx{};
+      for (size_t f = 0;; ++f) {
+        for (size_t k = 0; k <= f % 7; ++k) counts.Increment(idx);
+        int c = K - 1;
+        for (; c >= 0; --c) {
+          if (++idx[c] < sizes[c]) break;
+          idx[c] = 0;
+        }
+        if (c < 0) break;
+      }
+      const std::vector<uint32_t> before = counts.cells();
+      counts.SubdivideSlab(d, j);
+      EXPECT_EQ(counts.cells(), ReferenceSubdivide<K>(before, sizes, d, j))
+          << "K=" << K << " d=" << d << " j=" << j;
+      for (int c = 0; c < K; ++c) {
+        EXPECT_EQ(counts.size(c), sizes[c] + (c == d ? 1 : 0));
+      }
+    }
+  }
+}
+
+TEST(GridBuilderTest, SubdivideSlabMatchesPerCellReference) {
+  CheckEverySlabSplit<4>({3, 4, 2, 5});
+  CheckEverySlabSplit<6>({2, 3, 1, 4, 2, 3});
+}
+
 TEST(GridBuilderTest, IoWithinSortBoundTimesConstant) {
   MemoryBlockDevice dev(512);
   WorkEnv env{&dev, 1u << 20};

@@ -325,6 +325,82 @@ TEST(StreamTest, SequentialReaderCostsOneReadPerBlock) {
   EXPECT_EQ(dev.stats().reads, s.num_blocks());
 }
 
+TEST(StreamTest, ReaderRangeStartsAndEndsMidBlock) {
+  MemoryBlockDevice dev(256);
+  Stream<TestRec> s(&dev);
+  const size_t per_block = s.records_per_block();
+  for (size_t i = 0; i < 4 * per_block; ++i) s.Push(TestRec{i, 0});
+  s.Flush();
+  // From the middle of block 1 to the middle of block 3.
+  const size_t first = per_block + per_block / 2;
+  const size_t count = 2 * per_block;
+  dev.ResetStats();
+  Stream<TestRec>::Reader reader(&s, first, count);
+  EXPECT_EQ(dev.stats().reads, 0u);  // nothing read before the first Peek
+  uint64_t expect = first;
+  while (!reader.Done()) EXPECT_EQ(reader.Next().key, expect++);
+  EXPECT_EQ(expect, first + count);
+  EXPECT_EQ(dev.stats().reads, 3u);  // blocks 1, 2 and 3
+}
+
+TEST(StreamTest, RepeatedPeekBeforeNextAddsNoRead) {
+  MemoryBlockDevice dev(256);
+  Stream<TestRec> s(&dev);
+  const size_t per_block = s.records_per_block();
+  for (size_t i = 0; i < 2 * per_block; ++i) s.Push(TestRec{i, 0});
+  s.Flush();
+  dev.ResetStats();
+  Stream<TestRec>::Reader reader(&s);
+  for (size_t i = 0; i < 2 * per_block; ++i) {
+    for (int k = 0; k < 3; ++k) EXPECT_EQ(reader.Peek().key, i);
+    EXPECT_EQ(dev.stats().reads, i / per_block + 1);
+    EXPECT_EQ(reader.Next().key, i);
+  }
+  EXPECT_TRUE(reader.Done());
+  EXPECT_EQ(dev.stats().reads, 2u);
+}
+
+TEST(StreamTest, PeekAndNextAcrossEveryBlockBoundary) {
+  MemoryBlockDevice dev(256);
+  Stream<TestRec> s(&dev);
+  const size_t per_block = s.records_per_block();
+  const size_t n = 3 * per_block;
+  for (size_t i = 0; i < n; ++i) s.Push(TestRec{i, static_cast<uint32_t>(i)});
+  s.Flush();
+  ASSERT_EQ(s.num_blocks(), 3u);
+  dev.ResetStats();
+  Stream<TestRec>::Reader reader(&s);
+  for (size_t i = 0; i < n; ++i) {
+    // The last record of a block is served from the loaded block; the
+    // first Peek past the boundary costs exactly one more read.
+    const uint64_t blocks_touched = i / per_block + 1;
+    ASSERT_FALSE(reader.Done());
+    EXPECT_EQ(reader.Peek().key, i);
+    EXPECT_EQ(dev.stats().reads, blocks_touched);
+    TestRec r = reader.Next();
+    EXPECT_EQ(r.key, i);
+    EXPECT_EQ(r.payload, i);
+    EXPECT_EQ(dev.stats().reads, blocks_touched);
+  }
+  EXPECT_TRUE(reader.Done());
+  EXPECT_EQ(dev.stats().reads, 3u);
+}
+
+TEST(StreamTest, EmptyReaderRangeReadsNothing) {
+  MemoryBlockDevice dev(256);
+  Stream<TestRec> s(&dev);
+  const size_t per_block = s.records_per_block();
+  for (size_t i = 0; i < 2 * per_block; ++i) s.Push(TestRec{i, 0});
+  s.Flush();
+  dev.ResetStats();
+  // Empty ranges mid-block, on a block boundary and at the very end.
+  for (size_t first : {size_t{3}, per_block, 2 * per_block}) {
+    Stream<TestRec>::Reader reader(&s, first, 0);
+    EXPECT_TRUE(reader.Done());
+  }
+  EXPECT_EQ(dev.stats().reads, 0u);
+}
+
 TEST(StreamTest, ClearFreesBlocks) {
   MemoryBlockDevice dev(256);
   size_t before = dev.num_allocated();
