@@ -87,11 +87,6 @@ void EpochManager::DetachPool(BufferPool* pool) {
   pools_.erase(std::remove(pools_.begin(), pools_.end(), pool), pools_.end());
 }
 
-uint64_t EpochManager::current_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
-
 size_t EpochManager::limbo_pages() const {
   std::lock_guard<std::mutex> lock(mu_);
   return limbo_pages_;

@@ -14,15 +14,15 @@
 // never landed.
 //
 // The COW contract.  The journal does NOT replay page images — it relies
-// on the updater running in copy-on-write mode (rtree/update_io.h with a
-// journal attached), so no page any committed root can reach is ever
-// overwritten; pages a committed version stopped referencing are retired
-// into the journal's deferred-free list and only returned to the device
-// free list at the next checkpoint.  A committed root therefore stays
-// byte-intact on the device until a newer commit supersedes it, and
-// recovery is just "point the tree at the last committed root" plus a
-// reachability sweep that reclaims every allocated page the recovered tree
-// (and the journal region itself) does not reach.
+// on the updater's copy-on-write mode, which attaching a journal switches
+// on (rtree/update_io.h; the updaters have no other), so no page any
+// committed root can reach is ever overwritten; pages a committed version
+// stopped referencing are retired into the journal's deferred-free list
+// and only returned to the device free list at the next checkpoint.  A
+// committed root therefore stays byte-intact on the device until a newer
+// commit supersedes it, and recovery is just "point the tree at the last
+// committed root" plus a reachability sweep that reclaims every allocated
+// page the recovered tree (and the journal region itself) does not reach.
 //
 // On-device layout.  The journal lives in a preallocated REGION: one head
 // page listing the region's frame pages, all allocated — and the head page

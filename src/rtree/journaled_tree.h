@@ -162,7 +162,6 @@ class JournaledTree {
             "journal anchor");
       }
       PRTREE_RETURN_NOT_OK(AttachTree(dev, &*t->tree_));
-      t->tree_->Publish();
       PRTREE_RETURN_NOT_OK(t->journal_->Checkpoint(t->MetaBuilderFn()));
       *out = std::move(t);
       return Status::OK();
@@ -198,7 +197,6 @@ class JournaledTree {
       }
       t->tree_->SetRoot(root, height, size);
     }
-    t->tree_->Publish();
     if (o.validate_on_open) {
       PRTREE_RETURN_NOT_OK(ValidateTree(*t->tree_));
     }
@@ -306,11 +304,11 @@ class JournaledTree {
     if (opts_.use_rstar) {
       rstar_ = std::make_unique<RStarUpdater<D>>(
           &*tree_, opts_.min_fill, /*reinsert_frac=*/0.3,
-          /*pool=*/nullptr, /*epochs=*/nullptr, journal_.get());
+          /*pool=*/nullptr, journal_.get());
     } else {
       guttman_ = std::make_unique<RTreeUpdater<D>>(
           &*tree_, opts_.policy, opts_.min_fill, /*pool=*/nullptr,
-          /*epochs=*/nullptr, journal_.get());
+          journal_.get());
     }
   }
 

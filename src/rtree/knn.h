@@ -73,10 +73,10 @@ std::vector<Neighbor<D>> KnnSearch(const RTree<D>& tree,
 }
 
 /// \brief KnnSearch rooted at an explicit page with a record filter — the
-/// snapshot/forest entry point.  MVCC readers pass a published root
-/// captured under an EpochGuard (the tree's own root/height/size fields
-/// are never read, so a concurrent copy-on-write updater is safe); the
-/// logarithmic forest passes each level's root with a tombstone filter.
+/// snapshot/forest entry point.  The logarithmic forest passes each level
+/// root of a version pinned under an EpochGuard, with a tombstone filter
+/// (the tree's own root/height/size fields are never read, so concurrent
+/// level rebuilds are safe).
 /// `keep(rec)` decides whether a stored record is reported (and counted
 /// toward `k`); filtered records never enter the candidate heap.  With the
 /// tree's own root and an always-true filter this is exactly KnnSearch.

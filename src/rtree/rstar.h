@@ -41,21 +41,17 @@ class RStarUpdater {
   ///                         (R* recommends 0.4).
   /// \param reinsert_frac    fraction of entries force-reinserted on the
   ///                         first overflow per level (R* recommends 0.3).
-  /// \param epochs           optional: switches both the R* insert path
-  ///                         and the delegated Guttman delete path to
-  ///                         copy-on-write for snapshot readers.
-  /// \param journal          optional: logs both paths through the update
-  ///                         journal (io/journal.h).  Mutually exclusive
-  ///                         with `epochs`.
+  /// \param journal          optional: logs both the R* insert path and
+  ///                         the delegated Guttman delete path through
+  ///                         the update journal (copy-on-write,
+  ///                         io/journal.h).
   explicit RStarUpdater(RTree<D>* tree, double min_fill = 0.4,
                         double reinsert_frac = 0.3,
                         BufferPool* pool = nullptr,
-                        EpochManager* epochs = nullptr,
                         JournalWriter* journal = nullptr)
       : tree_(tree),
-        guttman_(tree, SplitPolicy::kQuadratic, min_fill, pool, epochs,
-                 journal),
-        io_(tree, pool, epochs, journal) {
+        guttman_(tree, SplitPolicy::kQuadratic, min_fill, pool, journal),
+        io_(tree, pool, journal) {
     PRTREE_CHECK(min_fill > 0.0 && min_fill <= 0.5);
     PRTREE_CHECK(reinsert_frac > 0.0 && reinsert_frac < 0.5);
     min_entries_ = std::max<size_t>(

@@ -17,9 +17,9 @@
 #ifndef PRTREE_RTREE_RTREE_H_
 #define PRTREE_RTREE_RTREE_H_
 
-#include <atomic>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -77,26 +77,13 @@ class RTree {
     PRTREE_CHECK(NodeCapacity<D>(device->block_size()) >= 2);
   }
 
-  // Movable so containers of levels (core/dynamic_prtree.h) can grow; the
-  // atomic publication slot forces the members to be spelled out.  Moving
-  // is a writer-side operation — never legal while snapshot readers hold
-  // the published root.
-  RTree(RTree&& o) noexcept
-      : device_(o.device_),
-        root_(o.root_),
-        height_(o.height_),
-        size_(o.size_),
-        published_root_(
-            o.published_root_.load(std::memory_order_relaxed)) {}
-  RTree& operator=(RTree&& o) noexcept {
-    device_ = o.device_;
-    root_ = o.root_;
-    height_ = o.height_;
-    size_ = o.size_;
-    published_root_.store(o.published_root_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    return *this;
-  }
+  // Movable so containers of levels (core/dynamic_prtree.h) can grow, but
+  // not copyable: two handles on one set of pages would let one free or
+  // rewrite what the other still traverses.
+  RTree(RTree&&) noexcept = default;
+  RTree& operator=(RTree&&) noexcept = default;
+  RTree(const RTree&) = delete;
+  RTree& operator=(const RTree&) = delete;
 
   BlockDevice* device() const { return device_; }
   size_t block_size() const { return device_->block_size(); }
@@ -124,26 +111,6 @@ class RTree {
   /// Adjusts the record count after updates.
   void set_size(size_t n) { size_ = n; }
 
-  /// \brief Atomically publishes the current root for snapshot readers.
-  ///
-  /// The MVCC contract (rtree/update_io.h): a copy-on-write updater works
-  /// against root()/SetRoot() — which stay writer-private — and calls
-  /// Publish() exactly once per logical operation, after every shadow page
-  /// of the new version is written.  Readers pair an EpochManager::Enter()
-  /// with published_root() and traverse via QueryFrom(); the single atomic
-  /// store here is the version swap, so a reader observes either the whole
-  /// previous version or the whole new one, never a mix.  Bulk-loaded
-  /// trees that will be served this way call Publish() once after loading.
-  void Publish() {
-    published_root_.store(root_, std::memory_order_release);
-  }
-
-  /// Root of the newest published version (kInvalidPageId before the first
-  /// Publish()).  Safe to read from any thread.
-  PageId published_root() const {
-    return published_root_.load(std::memory_order_acquire);
-  }
-
   /// \brief Window query (§1.1): reports every stored record whose
   /// rectangle intersects `window` by calling `emit(const RecordT&)`.
   ///
@@ -168,13 +135,13 @@ class RTree {
   }
 
   /// \brief Window query rooted at an explicit page instead of the tree's
-  /// current root — the snapshot-read entry point.  MVCC readers capture a
-  /// published root (this tree's published_root(), or a level root inside
-  /// a DynamicPRTree version) under an EpochGuard and traverse it here
-  /// while writers shadow new pages elsewhere; the traversal touches only
-  /// `root`'s subtree, never this object's mutable root/height/size
-  /// fields, so it is safe concurrently with a copy-on-write updater
-  /// publishing new versions.  kInvalidPageId queries the empty tree.
+  /// current root — the snapshot-read entry point.  Snapshot readers
+  /// capture a level root inside a DynamicPRTree version under an
+  /// EpochGuard and traverse it here while rebuilds write new pages
+  /// elsewhere; the traversal touches only `root`'s subtree, never this
+  /// object's mutable root/height/size fields, so it is safe concurrently
+  /// with the writer publishing new versions.  kInvalidPageId queries the
+  /// empty tree.
   template <typename Emit>
   QueryStats QueryFrom(PageId root, const RectT& window, Emit emit,
                        BufferPool* pool = nullptr) const {
@@ -266,32 +233,17 @@ class RTree {
     return ts;
   }
 
-  /// Frees every node block of the tree and resets to empty.  Used by the
-  /// logarithmic method when a level is merged away.
+  /// Frees every node block of the tree, in DetachPages() order, and
+  /// resets to empty.
   void FreeAll() {
-    if (empty()) return;
-    std::vector<PageId> stack{root_};
-    PageGuard guard;
-    while (!stack.empty()) {
-      PageId page = stack.back();
-      stack.pop_back();
-      PinNode(page, nullptr, &guard);
-      ConstNodeView<D> node(guard.data(), block_size());
-      if (!node.is_leaf()) {
-        for (int i = 0; i < node.count(); ++i) stack.push_back(node.GetId(i));
-      }
-      // Freeing the device page under a live guard is fine: the guard's
-      // bytes are a private copy.
-      device_->Free(page);
-    }
-    root_ = kInvalidPageId;
-    height_ = 0;
-    size_ = 0;
+    std::vector<PageId> pages;
+    DetachPages(&pages);
+    for (PageId page : pages) device_->Free(page);
   }
 
   /// \brief Walks the tree, appends every node page to `out` and resets to
   /// empty *without freeing anything* — the MVCC counterpart of FreeAll().
-  /// The caller hands the pages to an EpochManager::Retire() after
+  /// DynamicPRTree hands the pages to an EpochManager::Retire() after
   /// publishing the version swap that obsoleted them, so snapshot readers
   /// drain before the ids return to the device free list.
   void DetachPages(std::vector<PageId>* out) {
@@ -356,13 +308,10 @@ class RTree {
   PageId root_ = kInvalidPageId;
   int height_ = 0;
   size_t size_ = 0;
-  // MVCC publication slot (see Publish()); distinct from root_ so an
-  // updater's intermediate SetRoot() calls never leak a half-built
-  // version to snapshot readers.
-  std::atomic<PageId> published_root_{kInvalidPageId};
 };
 
 using RTree2 = RTree<2>;
+static_assert(!std::is_copy_constructible_v<RTree2>);
 
 }  // namespace prtree
 

@@ -1,59 +1,45 @@
 // Shared node-I/O helper for the dynamic updaters (rtree/update.h,
-// rtree/rstar.h).  Both previously carried identical copies of the
-// pool-read-then-copy and write-then-invalidate plumbing; it lives here
-// once now, which is also the single place where copy-on-write shadowing
-// happens when an EpochManager makes the tree multi-versioned — and the
-// single seam through which BOTH updaters log to the update journal.
+// rtree/rstar.h): the pool-read-then-copy and write-then-invalidate
+// plumbing lives here once, and it is the single seam through which BOTH
+// updaters log to the update journal.
 //
-// Three modes:
+// Two modes:
 //
-//  * Plain (no EpochManager, no journal): byte-for-byte the historical
-//    behaviour.  Write() updates the page in place and invalidates the
-//    pool frame; Release() invalidates and frees immediately.  The
-//    device-op sequence (Read/Write/Allocate/Free order) is exactly what
-//    the pre-MVCC updaters issued, so page-id layouts and I/O counters
-//    stay identical.
+//  * Plain (no journal): Write() updates the page in place; Release()
+//    frees it immediately.  The device-op sequence (Read/Write/Allocate/
+//    Free order) is the historical in-place one, so page-id layouts and
+//    I/O counters are those of the textbook algorithms.
 //
-//  * MVCC (EpochManager attached): a snapshot reader may hold the current
-//    published root at any moment, so no page that version can reach is
-//    ever overwritten.  Write() shadows: the new bytes go to a freshly
-//    allocated page and the old id is queued for retirement.  Pages
-//    allocated within the current op (tracked in `fresh_`) are invisible
-//    to every published version until EndOp(), so they may be rewritten
-//    in place — that keeps an op's page count proportional to the path it
-//    touches rather than the number of writes it issues.  EndOp()
-//    publishes the tree's new root (RTree::Publish, a release-store) and
-//    only then hands the replaced pages to EpochManager::Retire, so a
-//    reader can never load a root whose subtree is already being freed.
-//
-//  * Journaled (JournalWriter attached, io/journal.h): the same
-//    copy-on-write discipline, but the version being protected is the
-//    newest COMMITTED one on disk rather than a concurrent reader's.  The
+//  * Journaled (JournalWriter attached, io/journal.h): copy-on-write that
+//    protects the newest COMMITTED version on disk.  Write() shadows: the
+//    new bytes go to a freshly allocated page and the old id is queued as
+//    replaced.  Pages allocated within the current op (tracked in
+//    `fresh_`) are unreachable from the committed root, so they may be
+//    rewritten in place — that keeps an op's page count proportional to
+//    the path it touches rather than the number of writes it issues.  The
 //    updater opens each op with BeginInsert()/BeginDelete(), which stages
-//    the logical record; EndOp() publishes and then either commits the op
-//    through the journal — the commit frame's block write is the durable
-//    point, and the replaced pages defer into the journal's free list —
-//    or aborts the staged record when the op never wrote (delete miss).
-//    Crash anywhere inside an op and recovery restores the previous
-//    committed root, whose pages are all still byte-intact.
+//    the logical record; EndOp() either commits the op through the
+//    journal — the commit frame's block write is the durable point, and
+//    the replaced pages defer into the journal's free list — or aborts
+//    the staged record when the op never wrote (delete miss).  Crash
+//    anywhere inside an op and recovery restores the previous committed
+//    root, whose pages are all still byte-intact.
 //
-// Pool discipline: in-place writes (plain mode, or fresh pages the
-// updater itself re-read through the pool) invalidate their frame right
-// away; shadowed-out pages keep their frames — the bytes stay accurate
-// for snapshot readers — and are invalidated at epoch-drain time by the
-// manager itself (the pool is attached on construction).  In journal mode
-// shadowed-out pages invalidate immediately: no concurrent reader holds
-// them, they merely await their deferred free.
+// Snapshot readers are not served here: the one snapshot-serving dynamic
+// index is DynamicPRTree (core/dynamic_prtree.h), whose level rebuilds
+// write fresh pages and free the replaced ones only after readers drain.
+//
+// Pool discipline: a page's pool frame is invalidated whenever the page is
+// written, allocated or replaced — no reader outside the updater holds
+// these pages, so a frame is never worth keeping past a change.
 
 #ifndef PRTREE_RTREE_UPDATE_IO_H_
 #define PRTREE_RTREE_UPDATE_IO_H_
 
 #include <cstring>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "io/epoch.h"
 #include "io/journal.h"
 #include "rtree/rtree.h"
 
@@ -64,27 +50,15 @@ class UpdaterIO {
  public:
   /// \param tree     tree whose nodes are read/written (not owned).
   /// \param pool     optional read cache over the tree's pages.
-  /// \param epochs   optional: presence switches on copy-on-write for
-  ///                 snapshot readers.  Must manage the same device as
-  ///                 `tree`.
   /// \param journal  optional: presence switches on copy-on-write for
   ///                 crash consistency and logs every op through the
-  ///                 journal.  Mutually exclusive with `epochs` for now —
-  ///                 combining them needs retire-lists ordered across two
-  ///                 reclaimers (see docs/DURABILITY.md).
-  UpdaterIO(RTree<D>* tree, BufferPool* pool, EpochManager* epochs,
-            JournalWriter* journal = nullptr)
-      : tree_(tree), pool_(pool), epochs_(epochs), journal_(journal) {
-    PRTREE_CHECK(epochs_ == nullptr || journal_ == nullptr);
-    if (epochs_ != nullptr && pool_ != nullptr) epochs_->AttachPool(pool_);
-  }
+  ///                 journal.
+  UpdaterIO(RTree<D>* tree, BufferPool* pool, JournalWriter* journal)
+      : tree_(tree), pool_(pool), journal_(journal) {}
 
-  bool mvcc() const { return epochs_ != nullptr; }
-  bool journaled() const { return journal_ != nullptr; }
-
-  /// Copy-on-write is on whenever some other agent — a snapshot reader or
-  /// the last durable commit — may still need the current pages' bytes.
-  bool cow() const { return epochs_ != nullptr || journal_ != nullptr; }
+  /// Copy-on-write is on whenever the last durable commit may still need
+  /// the current pages' bytes.
+  bool cow() const { return journal_ != nullptr; }
 
   /// Marks the start of one logical update op (one Insert/Delete).
   void BeginOp() {
@@ -132,52 +106,45 @@ class UpdaterIO {
     wrote_ = true;
     if (!cow() || fresh_.count(page) != 0) {
       AbortIfError(tree_->device()->Write(page, buf));
-      if (pool_ != nullptr) pool_->Invalidate(page);
+      Invalidate(page);
       return page;
     }
     PageId shadow = WriteNew(buf);
-    RetireCow(page);
+    Replace(page);
     return shadow;
   }
 
-  /// Allocates a fresh page, writes `buf` there, returns its id.
+  /// Allocates a fresh page, writes `buf` there, returns its id.  A pool
+  /// frame from a previous tenant of the id would be stale, so it goes.
   PageId WriteNew(const std::byte* buf) {
     wrote_ = true;
     PageId page = tree_->device()->Allocate();
     AbortIfError(tree_->device()->Write(page, buf));
-    if (cow()) {
-      fresh_.insert(page);
-      // Snapshot readers never hold fresh pages, but a pool frame from a
-      // previous tenant of this id may be stale.
-      if (epochs_ == nullptr && pool_ != nullptr) pool_->Invalidate(page);
-    } else if (pool_ != nullptr) {
-      pool_->Invalidate(page);
-    }
+    if (cow()) fresh_.insert(page);
+    Invalidate(page);
     return page;
   }
 
   /// The node at `page` left the tree (condensed away, shrunk root).
   /// Plain mode frees it immediately; under copy-on-write a page the
-  /// protected version may reference is queued for retirement instead,
-  /// while a page allocated within this op — never published or committed
-  /// — is freed eagerly.
+  /// committed version may reference is queued as replaced instead,
+  /// while a page allocated within this op — never committed — is freed
+  /// eagerly.
   void Release(PageId page) {
     wrote_ = true;
     if (cow() && fresh_.erase(page) == 0) {
-      RetireCow(page);
+      Replace(page);
       return;
     }
-    if (pool_ != nullptr) pool_->Invalidate(page);
+    Invalidate(page);
     tree_->device()->Free(page);
   }
 
-  /// Publishes the op — new readers now see the updated tree — then
-  /// reclaims or logs the pages it replaced.  Publish-before-retire is the
-  /// MVCC linchpin: pages retire only after no new reader can reach them.
-  /// In journal mode the commit frame lands after Publish too, so the
-  /// in-memory tree is never behind what a crash would recover.
+  /// Ends the op.  Journaled, it commits the op — the pages it replaced
+  /// defer into the journal's free list — or aborts the staged record
+  /// when nothing was written; the in-memory tree is never behind what a
+  /// crash would recover.
   void EndOp() {
-    tree_->Publish();
     if (journal_ != nullptr) {
       if (wrote_) {
         AbortIfError(journal_->CommitOp(tree_->root(), tree_->height(),
@@ -186,25 +153,24 @@ class UpdaterIO {
         journal_->AbortOp();  // delete miss: nothing durable to do
       }
       retired_.clear();
-    } else if (epochs_ != nullptr && !retired_.empty()) {
-      epochs_->Retire(std::move(retired_));
-      retired_.clear();
     }
     fresh_.clear();
   }
 
  private:
-  /// A replaced page under copy-on-write: queue for retirement.  Journal
-  /// mode invalidates the pool frame right away (no snapshot reader needs
-  /// it; the page just waits for its post-commit deferred free).
-  void RetireCow(PageId page) {
+  void Invalidate(PageId page) {
+    if (pool_ != nullptr) pool_->Invalidate(page);
+  }
+
+  /// A page the committed version still references was replaced: queue
+  /// it for the commit's deferred free.
+  void Replace(PageId page) {
     retired_.push_back(page);
-    if (epochs_ == nullptr && pool_ != nullptr) pool_->Invalidate(page);
+    Invalidate(page);
   }
 
   RTree<D>* tree_;
   BufferPool* pool_;
-  EpochManager* epochs_;
   JournalWriter* journal_;
   std::unordered_set<PageId> fresh_;  // allocated by the op in flight
   std::vector<PageId> retired_;       // replaced pages awaiting EndOp

@@ -13,12 +13,12 @@
 //   * Torn data page: a shadow page torn under an uncommitted op never
 //     becomes visible (copy-on-write keeps the committed root intact).
 //   * Randomized property: 200+ seeded trials of random op streams X
-//     random crash points, file and uring backends; recovery is always a
-//     committed prefix and num_allocated is leak-free afterwards (the
-//     failing seed is echoed).
+//     random crash points, file and uring backends, Guttman and R*
+//     updaters; recovery is always a committed prefix and num_allocated
+//     is leak-free afterwards (the failing seed is echoed).
 //   * Demand-I/O identity: journaling charges only the meta counters —
 //     the same op and query sequences produce byte-identical demand
-//     stats and QueryStats with the journal on or off.
+//     stats and QueryStats with the journal on or off, for both updaters.
 //   * persist.h integration: AttachTree refuses a device with unapplied
 //     journal frames and accepts it again after recovery's checkpoint.
 
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "rtree/persist.h"
+#include "rtree/rstar.h"
 #include "rtree/update.h"
 #include "rtree/validate.h"
 
@@ -96,9 +97,11 @@ std::map<uint32_t, Rect2> ExpectedAfter(const std::vector<Op>& ops,
   return live;
 }
 
-JournaledTree<2>::Options MakeOpts(const std::string& backend) {
+JournaledTree<2>::Options MakeOpts(const std::string& backend,
+                                   bool rstar = false) {
   JournaledTree<2>::Options o;
   o.backend = backend;
+  o.use_rstar = rstar;
   o.device.block_size = 1024;
   o.journal.region_pages = 16;
   return o;
@@ -123,13 +126,13 @@ void ApplyOps(JournaledTree<2>* t, const std::vector<Op>& ops) {
 // is under test.
 void RunCrashChild(const std::string& path, const std::string& backend,
                    const std::vector<Op>& ops, uint64_t k,
-                   size_t tear_prefix) {
+                   size_t tear_prefix, bool rstar = false) {
   pid_t pid = fork();
   ASSERT_GE(pid, 0) << "fork failed";
   if (pid == 0) {
     std::remove(path.c_str());
     std::unique_ptr<JournaledTree<2>> t;
-    if (!JournaledTree<2>::Create(path, MakeOpts(backend), &t).ok()) {
+    if (!JournaledTree<2>::Create(path, MakeOpts(backend, rstar), &t).ok()) {
       _exit(3);
     }
     t->device()->InjectCrashAfterWrites(k, tear_prefix);
@@ -176,10 +179,12 @@ size_t CountReachable(FileBlockDevice* dev, PageId root) {
 // prefix, matching record payloads, ValidateTree (done inside Open),
 // leak-free allocation.  `context` is echoed on failure (seeds, k).
 void CheckRecovered(const std::string& path, const std::string& backend,
-                    const std::vector<Op>& ops, const std::string& context) {
+                    const std::vector<Op>& ops, const std::string& context,
+                    bool rstar = false) {
   std::unique_ptr<JournaledTree<2>> t;
   JournaledTree<2>::RecoveryReport rep;
-  Status st = JournaledTree<2>::Open(path, MakeOpts(backend), &t, &rep);
+  Status st =
+      JournaledTree<2>::Open(path, MakeOpts(backend, rstar), &t, &rep);
   ASSERT_TRUE(st.ok()) << context << ": Open: " << st.message();
 
   // The committed ops must be EXACTLY a prefix of the applied stream.
@@ -285,12 +290,15 @@ TEST_F(CrashRecoveryTest, RandomizedRecoveryProperty) {
     const size_t tear =
         rng() % 3 == 0 ? 1 + rng() % 1000 : BlockDevice::kNoTear;
     const std::string backend = trial % 4 == 3 ? "uring" : "file";
-    RunCrashChild(path_, backend, ops, k, tear);
+    const bool rstar = (trial / 4) % 2 == 1;  // both backends see both
+    RunCrashChild(path_, backend, ops, k, tear, rstar);
     CheckRecovered(path_, backend, ops,
                    "seed=" + std::to_string(seed) + " backend=" + backend +
-                       " k=" + std::to_string(k));
+                       " k=" + std::to_string(k) +
+                       " rstar=" + std::to_string(rstar),
+                   rstar);
     if (HasFatalFailure() || HasNonfatalFailure()) {
-      FAIL() << "replay with seed=" << seed;
+      FAIL() << "replay with seed=" << seed << " rstar=" << rstar;
     }
   }
 }
@@ -399,10 +407,15 @@ TEST_F(CrashRecoveryTest, AttachTreeRefusesDirtyJournalAcceptsCleanOne) {
   EXPECT_TRUE(ValidateTree(tree).ok());
 }
 
-TEST_F(CrashRecoveryTest, DemandCountersIdenticalWithJournalOnOrOff) {
+// Replays `ops` through a plain in-place updater on a bare file device
+// (journal OFF) and through the full journaled stack (journal ON) with the
+// same heuristic, then checks that queries and the demand counters match.
+template <typename Updater>
+void ExpectDemandCountersIdentical(const std::string& path, bool rstar) {
   const std::vector<Op> ops = MakeOps(/*seed=*/31, /*n=*/80);
-  const std::string path_off = path_ + ".off";
+  const std::string path_off = path + ".off";
   std::remove(path_off.c_str());
+  SCOPED_TRACE(rstar ? "R*" : "Guttman");
 
   // Journal OFF: a plain in-place updater on a bare file device.
   FileDeviceOptions dopts;
@@ -411,12 +424,14 @@ TEST_F(CrashRecoveryTest, DemandCountersIdenticalWithJournalOnOrOff) {
   std::unique_ptr<FileBlockDevice> dev_off;
   ASSERT_TRUE(FileBlockDevice::Open(path_off, dopts, &dev_off).ok());
   RTree<2> tree_off(dev_off.get());
-  RTreeUpdater<2> up_off(&tree_off);
+  Updater up_off(&tree_off);
   dev_off->ResetStats();
 
   // Journal ON: the full journaled stack.
+  std::remove(path.c_str());
   std::unique_ptr<JournaledTree<2>> t;
-  ASSERT_TRUE(JournaledTree<2>::Create(path_, MakeOpts("file"), &t).ok());
+  ASSERT_TRUE(
+      JournaledTree<2>::Create(path, MakeOpts("file", rstar), &t).ok());
   t->device()->ResetStats();
 
   for (const Op& op : ops) {
@@ -457,6 +472,11 @@ TEST_F(CrashRecoveryTest, DemandCountersIdenticalWithJournalOnOrOff) {
   EXPECT_GT(on.meta_writes, 0u);
 
   std::remove(path_off.c_str());
+}
+
+TEST_F(CrashRecoveryTest, DemandCountersIdenticalWithJournalOnOrOff) {
+  ExpectDemandCountersIdentical<RTreeUpdater<2>>(path_, /*rstar=*/false);
+  ExpectDemandCountersIdentical<RStarUpdater<2>>(path_, /*rstar=*/true);
 }
 
 }  // namespace
